@@ -43,9 +43,10 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import execute_program
-from ..sim.program import Op
+from ..sim.program import OP_GRAB, Barrier, Lock, Op, Read, Unlock, Write
 
-__all__ = ["Application", "PhaseBarriers", "proc_grid_shape"]
+__all__ = ["Application", "PhaseBarriers", "TaskQueueApp",
+           "proc_grid_shape"]
 
 
 class PhaseBarriers:
@@ -100,13 +101,18 @@ class Application(ABC):
 
     #: whether the reference streams depend only on the machine's
     #: :meth:`~repro.core.config.MachineConfig.trace_signature` (processor
-    #: count, line/page size).  The dynamic task-queue codes (Barnes,
-    #: Raytrace, Volrend) set this False: a lock-protected Python-side
-    #: counter decides which task each processor grabs, so their streams
-    #: depend on simulated timing — capture requires
-    #: :meth:`run_recorded`, and a capture is only valid for the exact
-    #: machine configuration that produced it.
+    #: count, line/page size).  Barnes sets this False: its lock-protected
+    #: tree build creates cells whose addresses depend on simulated
+    #: insertion order, so capture requires :meth:`run_recorded`, and a
+    #: capture is only valid for the exact machine configuration that
+    #: produced it.  The tile-queue codes (Raytrace, Volrend) are
+    #: invariant: who grabs a tile depends on timing, but the tile's
+    #: stream does not (:class:`TaskQueueApp`).
     stream_invariant: bool = True
+
+    #: whether the program load-balances through a lock-protected task
+    #: queue captured as a task table (:class:`TaskQueueApp`)
+    task_queue: bool = False
 
     def __init__(self, config: MachineConfig, seed: int = 12345) -> None:
         self.config = config
@@ -141,18 +147,23 @@ class Application(ABC):
         :meth:`~repro.core.config.MachineConfig.trace_signature` — cluster
         size, cache sizing, and the network model may all differ.
 
-        Only available when :attr:`stream_invariant` holds; the dynamic
-        task-queue applications must capture with :meth:`run_recorded`
-        instead (their streams depend on simulated timing, which a static
-        drain cannot know).
+        Task-queue applications (:class:`TaskQueueApp`) capture their
+        tasks once as a shared task table instead.  Only available when
+        :attr:`stream_invariant` holds; Barnes must capture with
+        :meth:`run_recorded` instead (its streams depend on simulated
+        timing, which a static drain cannot know).
         """
-        from ..sim.compiled import compile_program
-
         if not self.stream_invariant:
             raise ValueError(
                 f"{self.name} streams depend on simulated timing "
                 f"(stream_invariant=False); capture with run_recorded()")
         self.ensure_setup()
+        return self._capture(fuse_work)
+
+    def _capture(self, fuse_work: bool) -> "CompiledProgram":
+        """The static drain behind :meth:`compiled_program`."""
+        from ..sim.compiled import compile_program
+
         return compile_program(self.program, self.config.n_processors,
                                self.config.line_size, fuse_work=fuse_work)
 
@@ -305,3 +316,86 @@ class Application(ABC):
     def describe(self) -> str:
         """One-line description used by the CLI and experiment logs."""
         return f"{self.name} on {self.config.describe()}"
+
+
+class TaskQueueApp(Application):
+    """An application that load-balances through a lock-protected queue.
+
+    SPLASH's Raytrace and Volrend hand out image tiles from a shared
+    counter (paper §3): each processor repeatedly takes lock
+    :attr:`QUEUE_LOCK`, reads and bumps the queue word, releases the
+    lock and renders the task it got, until the queue runs dry.  Which
+    processor gets a task depends on simulated lock order; the task's
+    own reference stream does not.  Subclasses define the tasks —
+    :attr:`n_tasks` and :meth:`task_ops` — and allocate the queue word
+    region :attr:`rqueue` in :meth:`setup`; this class owns the queue
+    protocol for both execution paths:
+
+    * :meth:`program` (generator path, the byte-identity oracle) reads
+      the Python-side counter between the queue read and write;
+    * :meth:`compiled_program` captures, with no memory model, one own
+      column per processor plus a task table of one block per task,
+      joined by :data:`~repro.sim.program.OP_GRAB`
+      (:func:`~repro.sim.compiled.compile_task_program`).
+    """
+
+    task_queue = True
+
+    #: lock id guarding the queue
+    QUEUE_LOCK = 0
+
+    #: number of tasks in the queue (set by the subclass constructor)
+    n_tasks: int
+    #: one-word region holding the queue counter (allocated in setup)
+    rqueue: Region
+
+    @abstractmethod
+    def task_ops(self, task: int) -> Iterator[Op]:
+        """The operation stream of task ``task`` (any processor)."""
+
+    # ----------------------------------------------------- queue protocol
+    def _take(self) -> tuple[Op, Op]:
+        """Ops before the counter is read: lock, read the queue word."""
+        return Lock(self.QUEUE_LOCK), Read(self.rqueue.element(0))
+
+    def _give(self) -> tuple[Op, Op]:
+        """Ops after the counter is bumped: write the word, unlock."""
+        return Write(self.rqueue.element(0)), Unlock(self.QUEUE_LOCK)
+
+    def program(self, pid: int) -> Iterator[Op]:
+        bar = PhaseBarriers()
+        self._next_task = 0  # reset runs in every program before any grab
+        take, give = self._take(), self._give()
+        yield Barrier(bar())
+        while True:
+            yield from take
+            task = self._next_task
+            self._next_task += 1
+            yield from give
+            if task >= self.n_tasks:
+                break
+            yield from self.task_ops(task)
+        yield Barrier(bar())
+
+    # ------------------------------------------------------------ capture
+    def _own_column(self, pid: int) -> Iterator[Op]:
+        bar = PhaseBarriers()
+        yield Barrier(bar())
+        yield from self._take()
+        yield OP_GRAB, 0  # into the task table; resumes here when empty
+        yield from self._give()
+        yield Barrier(bar())
+
+    def _task_block(self, task: int) -> Iterator[Op]:
+        yield from self._give()
+        yield from self.task_ops(task)
+        yield from self._take()
+        yield OP_GRAB, 0
+
+    def _capture(self, fuse_work: bool) -> "CompiledProgram":
+        from ..sim.compiled import compile_task_program
+
+        return compile_task_program(self._own_column, self._task_block,
+                                    self.n_tasks, self.config.n_processors,
+                                    self.config.line_size,
+                                    fuse_work=fuse_work)

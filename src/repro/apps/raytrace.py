@@ -25,8 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers, proc_grid_shape
+from ..sim.program import Op, Read, Work, Write
+from .base import TaskQueueApp, proc_grid_shape
 
 __all__ = ["RaytraceApp"]
 
@@ -48,7 +48,7 @@ class _Node:
         self.spheres: list[int] = []
 
 
-class RaytraceApp(Application):
+class RaytraceApp(TaskQueueApp):
     """Recursive sphere ray tracer.
 
     Parameters
@@ -66,8 +66,6 @@ class RaytraceApp(Application):
     """
 
     name = "raytrace"
-    # dynamic task queue: streams depend on simulated lock order
-    stream_invariant = False
 
     def __init__(self, config: MachineConfig, width: int = 96,
                  height: int = 96, n_spheres: int = 160, max_depth: int = 3,
@@ -82,7 +80,7 @@ class RaytraceApp(Application):
         if height % queue_tile or width % queue_tile:
             raise ValueError("queue_tile must divide the image dimensions")
         self.queue_tile = queue_tile
-        self._next_tile = 0
+        self.n_tasks = (height // queue_tile) * (width // queue_tile)
         self.width, self.height = width, height
         self.tile_h, self.tile_w = height // self.pr, width // self.pc
         self.n_spheres = n_spheres
@@ -223,48 +221,32 @@ class RaytraceApp(Application):
         pj, lj = divmod(px, self.tile_w)
         return ((pi * self.pc + pj) * self.tile_h + li) * self.tile_w + lj
 
-    def program(self, pid: int) -> Iterator[Op]:
-        """Render via a dynamic tile queue (SPLASH RAYTRACE load-balances
-        with distributed task queues; static tiles would leave the
-        processors whose tiles miss the scene idle at the barrier)."""
-        bar = PhaseBarriers()
-        self._next_tile = 0  # reset runs in every program before any grab
+    def task_ops(self, task: int) -> Iterator[Op]:
+        """Render queue tile ``task`` (SPLASH RAYTRACE load-balances with
+        distributed task queues; static tiles would leave the processors
+        whose tiles miss the scene idle at the barrier)."""
         qt = self.queue_tile
-        tiles_x = self.width // qt
-        n_tiles = (self.height // qt) * tiles_x
+        ty, tx = divmod(task, self.width // qt)
         node_addr = self.rnodes.element
         sph_addr = self.rspheres.element
         pix_addr = self.rpixels.element
-        qaddr = self.rqueue.element(0)
-        yield Barrier(bar())
-        while True:
-            yield Lock(0)
-            yield Read(qaddr)
-            tile = self._next_tile
-            self._next_tile += 1
-            yield Write(qaddr)
-            yield Unlock(0)
-            if tile >= n_tiles:
-                break
-            ty, tx = divmod(tile, tiles_x)
-            for py in range(ty * qt, (ty + 1) * qt):
-                for px in range(tx * qt, (tx + 1) * qt):
-                    orig = np.array([(px + 0.5) / self.width,
-                                     (py + 0.5) / self.height, -0.5])
-                    direction = np.array([0.0, 0.0, 1.0])
-                    visits: list[tuple[str, int]] = []
-                    shade = self._trace(orig, direction, 0, visits)
-                    self.image[py, px] = shade
-                    self.rays_cast += 1
-                    if shade > 0.05:
-                        self.rays_hit += 1
-                    for kind, idx in visits:
-                        if kind == "node":
-                            yield Read(node_addr(idx * _NODE_DOUBLES))
-                            yield Work(20)
-                        else:
-                            yield Read(sph_addr(idx * _SPHERE_DOUBLES))
-                            yield Work(45)
-                    yield Work(60)  # shading (normal, dot products, clamp)
-                    yield Write(pix_addr(self._pixel_elem(py, px)))
-        yield Barrier(bar())
+        for py in range(ty * qt, (ty + 1) * qt):
+            for px in range(tx * qt, (tx + 1) * qt):
+                orig = np.array([(px + 0.5) / self.width,
+                                 (py + 0.5) / self.height, -0.5])
+                direction = np.array([0.0, 0.0, 1.0])
+                visits: list[tuple[str, int]] = []
+                shade = self._trace(orig, direction, 0, visits)
+                self.image[py, px] = shade
+                self.rays_cast += 1
+                if shade > 0.05:
+                    self.rays_hit += 1
+                for kind, idx in visits:
+                    if kind == "node":
+                        yield Read(node_addr(idx * _NODE_DOUBLES))
+                        yield Work(20)
+                    else:
+                        yield Read(sph_addr(idx * _SPHERE_DOUBLES))
+                        yield Work(45)
+                yield Work(60)  # shading (normal, dot products, clamp)
+                yield Write(pix_addr(self._pixel_elem(py, px)))

@@ -28,15 +28,15 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers, proc_grid_shape
+from ..sim.program import Op, Read, Work, Write
+from .base import TaskQueueApp, proc_grid_shape
 
 __all__ = ["VolrendApp"]
 
 _NODE_DOUBLES = 8  # (min, max, child info) — one line per octree node
 
 
-class VolrendApp(Application):
+class VolrendApp(TaskQueueApp):
     """Front-to-back volume ray caster with min/max octree skipping.
 
     Parameters
@@ -51,8 +51,6 @@ class VolrendApp(Application):
     """
 
     name = "volrend"
-    # dynamic task queue: streams depend on simulated lock order
-    stream_invariant = False
 
     def __init__(self, config: MachineConfig, volume_side: int = 128,
                  width: int = 64, height: int = 64, block: int = 4,
@@ -68,7 +66,7 @@ class VolrendApp(Application):
         if height % queue_tile or width % queue_tile:
             raise ValueError("queue_tile must divide the image dimensions")
         self.queue_tile = queue_tile
-        self._next_tile = 0
+        self.n_tasks = (height // queue_tile) * (width // queue_tile)
         self.nv = volume_side
         self.width, self.height = width, height
         self.tile_h, self.tile_w = height // self.pr, width // self.pc
@@ -192,41 +190,25 @@ class VolrendApp(Application):
         pj, lj = divmod(px, self.tile_w)
         return ((pi * self.pc + pj) * self.tile_h + li) * self.tile_w + lj
 
-    def program(self, pid: int) -> Iterator[Op]:
-        """Render via a dynamic tile queue (SPLASH VOLREND load-balances
-        with task stealing; a static partition leaves the processors whose
+    def task_ops(self, task: int) -> Iterator[Op]:
+        """Render queue tile ``task`` (SPLASH VOLREND load-balances with
+        task stealing; a static partition leaves the processors whose
         tiles miss the head idle)."""
-        bar = PhaseBarriers()
-        self._next_tile = 0  # reset runs in every program before any grab
         qt = self.queue_tile
-        tiles_x = self.width // qt
-        n_tiles = (self.height // qt) * tiles_x
+        ty, tx = divmod(task, self.width // qt)
         vox_addr = self.rvolume.element
         node_addr = self.rnodes.element
         pix_addr = self.rpixels.element
-        qaddr = self.rqueue.element(0)
-        yield Barrier(bar())
-        while True:
-            yield Lock(0)
-            yield Read(qaddr)
-            tile = self._next_tile
-            self._next_tile += 1
-            yield Write(qaddr)
-            yield Unlock(0)
-            if tile >= n_tiles:
-                break
-            ty, tx = divmod(tile, tiles_x)
-            for py in range(ty * qt, (ty + 1) * qt):
-                for px in range(tx * qt, (tx + 1) * qt):
-                    intensity, visits = self.march(px, py)
-                    self.image[py, px] = intensity
-                    for kind, idx in visits:
-                        if kind == "node":
-                            yield Read(node_addr(idx * _NODE_DOUBLES))
-                            yield Work(12)
-                        else:
-                            yield Read(vox_addr(idx))
-                            yield Work(8)
-                    yield Work(30)
-                    yield Write(pix_addr(self._pixel_elem(py, px)))
-        yield Barrier(bar())
+        for py in range(ty * qt, (ty + 1) * qt):
+            for px in range(tx * qt, (tx + 1) * qt):
+                intensity, visits = self.march(px, py)
+                self.image[py, px] = intensity
+                for kind, idx in visits:
+                    if kind == "node":
+                        yield Read(node_addr(idx * _NODE_DOUBLES))
+                        yield Work(12)
+                    else:
+                        yield Read(vox_addr(idx))
+                        yield Work(8)
+                yield Work(30)
+                yield Write(pix_addr(self._pixel_elem(py, px)))

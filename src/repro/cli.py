@@ -23,8 +23,8 @@ Execution control (see ``docs/EXECUTION.md``):
   deterministic);
 * ``--batch`` switches to batched lockstep replay: sweep points that
   share a compiled trace are grouped and driven over one decode of the
-  trace columns (still byte-identical; dynamic apps fall through to
-  per-point replay);
+  trace columns (still byte-identical; Barnes, Raytrace and Volrend
+  fall through to per-point replay);
 * ``--native`` forces the native C replay kernel (exit 2 when it cannot
   be built), ``--no-native`` forces the pure-python kernels; with
   neither flag the kernel auto-selects (native when a compiler or cached

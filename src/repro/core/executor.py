@@ -451,8 +451,9 @@ class SweepExecutor:
             if singles:
                 # fallthrough points get no shared decode, but the serial
                 # backend still replays them through the fused interpreter
-                # (a dynamic app's recorded trace fuses exactly like a
-                # batched one); stats=None keeps the fused/fallback
+                # (a recorded Barnes trace fuses exactly like a batched
+                # one; task tables replay natively or canonically);
+                # stats=None keeps the fused/fallback
                 # counters meaning "points served from a group replay"
                 sspecs = [specs[i] for i in singles]
                 try:

@@ -32,7 +32,7 @@ __all__ = ["ABI_VERSION", "BuildError", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -138,6 +138,8 @@ def load() -> ctypes.CDLL:
     lib.repro_replay.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,   # n, ncl, csize
         ctypes.POINTER(p), ctypes.POINTER(p), p,          # ops, args, lens
+        ctypes.c_int64,                                   # n_tasks
+        ctypes.POINTER(p), ctypes.POINTER(p), p,          # task columns
         ctypes.c_int64,                                   # cap
         ctypes.c_int64, ctypes.c_int64,                   # l_lc, l_rc
         ctypes.c_int64, ctypes.c_int64,                   # l_ldr, l_rd3

@@ -73,6 +73,15 @@ def _column_pointer(col, ptype):
                        ptype)
 
 
+def _columns(ops_cols, args_cols):
+    """Pointer arrays and lengths over parallel column lists (zero-copy)."""
+    P = ctypes.POINTER(ctypes.c_int64)
+    k = max(1, len(ops_cols))  # ctypes arrays cannot be empty
+    return ((P * k)(*[_column_pointer(c, P) for c in ops_cols]),
+            (P * k)(*[_column_pointer(c, P) for c in args_cols]),
+            (ctypes.c_int64 * k)(*[len(c) for c in ops_cols]))
+
+
 def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
                program) -> tuple[int, list[TimeBreakdown]]:
     """Replay ``program`` on ``memory`` natively; return (time, breakdowns).
@@ -89,11 +98,10 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
 
     # zero-copy column views; keep the arrays (or the mmap behind a
     # mapped program's memoryviews) referenced for the call
-    ops_cols = program.ops
-    args_cols = program.args
-    ops_arr = (P * n)(*[_column_pointer(c, P) for c in ops_cols])
-    args_arr = (P * n)(*[_column_pointer(c, P) for c in args_cols])
-    lens = (c64 * n)(*[len(c) for c in ops_cols])
+    ops_arr, args_arr, lens = _columns(program.ops, program.args)
+    n_tasks = program.n_tasks
+    task_ops, task_args, task_lens = _columns(program.task_ops,
+                                              program.task_args)
 
     alloc = memory.allocator
     ph = alloc._page_home
@@ -111,6 +119,7 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
     st = lib.repro_replay(
         n, ncl, config.cluster_size,
         ops_arr, args_arr, lens,
+        n_tasks, task_ops, task_args, task_lens,
         -1 if cap is None else cap,
         memory._local_clean, memory._remote_clean,
         memory._local_dirty_remote, memory._remote_dirty_3p,

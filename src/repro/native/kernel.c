@@ -24,6 +24,16 @@
  *   dispatch (never on a merge retry), which totals exactly the static
  *   seeding the python kernel performs up front.
  *
+ * - task table: GRAB (op 6) takes k = grabbed++ and continues in task
+ *   block k, or -- once k >= n_tasks -- back in the processor's own
+ *   column just after the GRAB that entered the table.  It costs no
+ *   cycles, takes no seq and is never a scheduling point (the inner
+ *   loop continues without reaching the fast-path check), which is
+ *   exactly where the generator path reads its task counter.  Every
+ *   task block ends with a GRAB (validated by CompiledProgram), so a
+ *   block never runs off its end; GRAB sits last in the dispatch
+ *   chain, off the READ/WORK/WRITE branches.
+ *
  * Directory masks are kept as a separate 64-bit word (Python packs
  * (mask << 2) | state into one unbounded int); the driver gates the
  * kernel on n_clusters <= 64.
@@ -37,7 +47,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 1
+#define ABI 2
 
 #define ST_OK 0
 #define ST_DEADLOCK 1
@@ -734,10 +744,13 @@ EXPORT void repro_release(int64_t *blob) { free(blob); }
  * streaming-trace layer is built on — and must tolerate ops[p] == NULL
  * when lens[p] == 0 (an empty column has no buffer to address).  Access
  * is sequential per processor, which the mapping layer advertises to the
- * OS via MADV_SEQUENTIAL. */
+ * OS via MADV_SEQUENTIAL.  The task table (task_ops/task_args/task_lens,
+ * n_tasks blocks, each non-empty) follows the same contract. */
 EXPORT int64_t repro_replay(
     int64_t n, int64_t ncl, int64_t csize,
     const int64_t **ops, const int64_t **args, const int64_t *lens,
+    int64_t n_tasks, const int64_t **task_ops, const int64_t **task_args,
+    const int64_t *task_lens,
     int64_t cap, /* capacity lines per cluster cache; -1 = infinite */
     int64_t l_lc, int64_t l_rc, int64_t l_ldr, int64_t l_rd3,
     int64_t lpp, int64_t rr_next,
@@ -757,6 +770,12 @@ EXPORT int64_t repro_replay(
     Ev *heap = NULL;
     int64_t hn = 0;
     int64_t *ipos = NULL, *retry = NULL;
+    /* per-processor current column (own or a grabbed task block) and the
+     * own-column position to resume at once the table runs dry (-1 while
+     * running the own column) */
+    const int64_t **cops = NULL, **cargs = NULL;
+    int64_t *clen = NULL, *resume = NULL;
+    int64_t grabbed = 0;
     Buf blob;
     memset(&blob, 0, sizeof(blob));
 
@@ -785,8 +804,12 @@ EXPORT int64_t repro_replay(
     heap = (Ev *)malloc((n + 4) * sizeof(Ev));
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
+    cops = (const int64_t **)malloc(n * sizeof(*cops));
+    cargs = (const int64_t **)malloc(n * sizeof(*cargs));
+    clen = (int64_t *)malloc(n * sizeof(int64_t));
+    resume = (int64_t *)malloc(n * sizeof(int64_t));
     if (!x.ca || !x.hist || !x.hist_log || !x.ctr || !heap || !ipos ||
-        !retry) {
+        !retry || !cops || !cargs || !clen || !resume) {
         st = ST_NOMEM;
         goto done;
     }
@@ -815,6 +838,10 @@ EXPORT int64_t repro_replay(
     for (int64_t p = 0; p < n; p++) {
         finish[p] = -1;
         retry[p] = NO_LINE;
+        cops[p] = ops[p];
+        cargs[p] = args[p];
+        clen[p] = lens[p];
+        resume[p] = -1;
     }
 
     /* initial events: every processor at time 0, pid order == seq order */
@@ -877,10 +904,10 @@ EXPORT int64_t repro_replay(
             }
         } else {
             /* ---- run ops while strictly ahead of every queued event */
-            const int64_t *po = ops[pid];
-            const int64_t *pa = args[pid];
+            const int64_t *po = cops[pid];
+            const int64_t *pa = cargs[pid];
             int64_t ip = ipos[pid];
-            const int64_t iplen = lens[pid];
+            int64_t iplen = clen[pid];
             Cache *c = &x.ca[cl];
             int finished = 0;
             for (;;) {
@@ -1008,7 +1035,7 @@ EXPORT int64_t repro_replay(
                         noevent = 1;
                         break;
                     }
-                } else { /* UNLOCK */
+                } else if (op == 5) { /* UNLOCK */
                     bd[4 * pid] += 1;
                     Lock *lk;
                     if (lock_of(&locks, arg, &lk)) {
@@ -1039,6 +1066,25 @@ EXPORT int64_t repro_replay(
                     }
                     lk->holder = -1;
                     tn = t + 1;
+                } else { /* GRAB: zero cycles, no scheduling point */
+                    int64_t k = grabbed++;
+                    if (resume[pid] < 0) resume[pid] = ip;
+                    if (k < n_tasks) {
+                        po = task_ops[k];
+                        pa = task_args[k];
+                        iplen = task_lens[k];
+                        ip = 0;
+                    } else { /* queue empty: back to the own column */
+                        po = ops[pid];
+                        pa = args[pid];
+                        iplen = lens[pid];
+                        ip = resume[pid];
+                        resume[pid] = -1;
+                    }
+                    cops[pid] = po;
+                    cargs[pid] = pa;
+                    clen[pid] = iplen;
+                    continue;
                 }
                 /* ---- fast path: strictly next, stay on this processor */
                 if (tn < hz) {
@@ -1240,5 +1286,9 @@ done:
     free(heap);
     free(ipos);
     free(retry);
+    free(cops);
+    free(cargs);
+    free(clen);
+    free(resume);
     return st;
 }

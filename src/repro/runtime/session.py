@@ -171,10 +171,10 @@ class RunSession:
             result = self._replay(plan, app, program)
             outcome = RunOutcome(plan, result, app, program=program)
             return self._finish(outcome, clock)
-        # dynamic task-queue app: the stream is decided by the run itself,
-        # so capture during generator execution; the capture replays
-        # bit-identically at this exact configuration only (the trace key
-        # covers the full config)
+        # timing-dependent stream (Barnes): the stream is decided by the
+        # run itself, so capture during generator execution; the capture
+        # replays bit-identically at this exact configuration only (the
+        # trace key covers the full config)
         result, program = app.run_recorded()
         if cache is not None:
             cache.put(key, program)

@@ -4,9 +4,9 @@ from .compiled import (CompiledProgram, ProgramRecorder, TraceCache,
                        TraceDecodeError, compile_program, trace_key)
 from .engine import (Engine, PerfectMemory, SimulationDeadlock,
                      execute_program, run_program)
-from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
-                      OP_WRITE, Barrier, Lock, Op, Program, ProgramFactory,
-                      Read, Unlock, Work, Write)
+from .program import (OP_BARRIER, OP_GRAB, OP_LOCK, OP_READ, OP_UNLOCK,
+                      OP_WORK, OP_WRITE, Barrier, Lock, Op, Program,
+                      ProgramFactory, Read, Unlock, Work, Write)
 from .stats import RunSummary, StatsAssembler, summarize
 from .trace import ReferenceTrace, TraceRecord, TracingMemory, replay
 from .sync import BarrierState, LockState, SyncRegistry
@@ -18,7 +18,7 @@ __all__ = [
     "compile_program", "trace_key",
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
     "OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK", "OP_UNLOCK",
-    "Op", "Program", "ProgramFactory",
+    "OP_GRAB", "Op", "Program", "ProgramFactory",
     "BarrierState", "LockState", "SyncRegistry",
     "RunSummary", "StatsAssembler", "summarize",
     "ReferenceTrace", "TraceRecord", "TracingMemory", "replay",

@@ -3,8 +3,9 @@
 The paper's methodology replays one application trace across a grid of
 cluster/cache configurations; this package makes the grid pay for the
 trace **once**.  A :class:`~repro.sim.batch.planner.BatchPlanner` groups
-sweep points by compiled-trace key (stream-invariant apps only; dynamic
-task-queue apps fall through to per-point replay), and a
+sweep points by compiled-trace key (stream-invariant apps without a task
+table only; Barnes, Raytrace and Volrend fall through to per-point
+replay), and a
 :class:`~repro.sim.batch.engine.BatchedReplay` advances every point of a
 group over a single materialisation of the program's flat opcode/operand
 columns using the fused replay kernel — the event loop with the memory

@@ -94,10 +94,15 @@ def replay_fused(config: "MachineConfig", memory: CoherentMemorySystem,
 
     Byte-identical to ``execute_program(config, memory, program,
     compiled=True)`` whenever :func:`fusible(memory)` holds; raises
-    ``ValueError`` when it does not (callers gate on :func:`fusible`).
+    ``ValueError`` when it does not (callers gate on :func:`fusible`) or
+    when the program carries a task table, which this kernel does not
+    replay.
     """
     if not fusible(memory):
         raise ValueError("memory system is not fusible; use execute_program")
+    if program.n_tasks:
+        raise ValueError("the fused kernel does not replay task tables; "
+                         "use execute_program")
     n = config.n_processors
     if program.n_processors != n:
         raise ValueError(
@@ -643,8 +648,9 @@ class BatchedReplay:
     Each :meth:`run` advances one configuration over the shared columns —
     with the native kernel when it is selected and the point qualifies
     (:func:`~repro.sim.nativereplay.native_fusible`), the pure-python
-    fused kernel when the memory system qualifies, and the canonical
-    ``execute_program`` replay otherwise.  All three are byte-identical;
+    fused kernel when the memory system qualifies and the program has no
+    task table, and the canonical ``execute_program`` replay otherwise.
+    All three are byte-identical;
     ``points_native`` / ``points_fused`` / ``points_fallback`` record
     which kernel served each point for the batch counters.
     """
@@ -667,8 +673,9 @@ class BatchedReplay:
             if lib is not None and native_fusible(memory):
                 self.points_native += 1
                 return replay_native(config, memory, self.program, lib=lib)
-            self.points_fused += 1
-            prepare_batch(self.program, use_numpy=self.use_numpy)
-            return replay_fused(config, memory, self.program)
+            if not self.program.n_tasks:
+                self.points_fused += 1
+                prepare_batch(self.program, use_numpy=self.use_numpy)
+                return replay_fused(config, memory, self.program)
         self.points_fallback += 1
         return execute_program(config, memory, self.program, compiled=True)

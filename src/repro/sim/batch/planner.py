@@ -5,10 +5,12 @@ same compiled trace — i.e. their :func:`~repro.sim.compiled.trace_key`\\ s
 match.  For stream-invariant applications the key deliberately excludes
 cluster size, cache size, and network model, so a whole cluster/cache
 grid over one (app, kwargs, seed, processor-count, line-size) problem
-collapses into a single group.  Dynamic task-queue applications
-(``stream_invariant=False``) key on the *full* configuration and are
-never grouped here: their stream is decided by the run itself, so each
-point falls through to the canonical per-point path.
+collapses into a single group.  Two kinds of application are never
+grouped here, and each of their points falls through to the canonical
+per-point path: Barnes (``stream_invariant=False``), which keys on the
+*full* configuration because its stream is decided by the run itself,
+and the task-queue codes (``task_queue``), whose task tables the fused
+kernel does not replay.
 
 The planner only *plans* — it builds application instances (cheap
 constructor, no setup) to learn each point's seed and stream invariance,
@@ -46,9 +48,9 @@ class BatchPlan:
     """What the planner decided for one sweep.
 
     ``groups`` hold the batched points; ``singles`` are the fallthrough
-    positions (dynamic apps, or trace keys with fewer points than
-    ``min_group``) that the executor evaluates per-point, exactly as it
-    would without batching.
+    positions (Barnes and the task-queue apps, or trace keys with fewer
+    points than ``min_group``) that the executor evaluates per-point,
+    exactly as it would without batching.
     """
 
     groups: list[BatchGroup] = field(default_factory=list)
@@ -93,7 +95,7 @@ class BatchPlanner:
                 # the per-point path reports its canonical error outcome
                 singles.append(i)
                 continue
-            if not app.stream_invariant:
+            if not app.stream_invariant or app.task_queue:
                 singles.append(i)
                 continue
             key = trace_key(spec.app, spec.kwargs, config, app.seed,

@@ -61,8 +61,8 @@ class BatchStats:
     """Batch counters, accumulated across sweeps by the executor/daemon.
 
     ``batched_points`` ran inside a group; ``fallthrough_points`` were
-    planned out of batching (dynamic apps, lone trace keys) and took the
-    per-point path; ``native_points`` / ``fused_points`` /
+    planned out of batching (Barnes, task-queue apps, lone trace keys)
+    and took the per-point path; ``native_points`` / ``fused_points`` /
     ``fallback_points`` split the batched ones by which kernel served
     them — the C column interpreter, the pure-python fused kernel, or
     the canonical replay (fallback = unfusible memory system) — all

@@ -54,6 +54,22 @@ entry-count knob (``REPRO_TRACE_LRU``) is still honoured when set, as a
 deprecated alias.  ``REPRO_TRACE_MMAP=0`` disables mapping (every disk
 load decodes eagerly to arrays).
 
+**Task tables.**  Raytrace and Volrend load-balance through a
+lock-protected tile queue (paper §3): *which* processor renders a tile
+depends on simulated lock order, but each tile's reference stream does
+not.  Such programs are captured as per-processor own columns plus a
+shared **task table** of op blocks (:func:`compile_task_program`), tied
+together by the compiled-only :data:`~repro.sim.program.OP_GRAB` op.  A
+GRAB takes ``k = counter++`` from a replay-local counter that starts at
+0 and jumps to task block ``k``; once ``k >= n_tasks`` it returns to the
+processor's own column just after the GRAB that entered the table (or
+falls through, when executed there).  Every task block ends with a GRAB,
+so a block never runs off its end.  GRAB costs zero cycles and is never
+a scheduling point: replay resolves it at op fetch, in the same engine
+event in which the generator path reads its Python-side task counter.
+The counter is replay state, never program state, so one capture stays
+immutable and serves every configuration and every concurrent replay.
+
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
 ``tests/test_compiled.py``, ``tests/test_tracestream.py``) compare
@@ -76,13 +92,14 @@ from collections import OrderedDict
 from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
-from .program import (OP_BARRIER, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
+from .program import (OP_BARRIER, OP_GRAB, OP_READ, OP_WORK, OP_WRITE,
                       ProgramFactory)
 
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
-           "compile_program", "trace_key", "clear_memory_cache",
-           "memory_cache_len", "memory_cache_bytes", "trace_cache_info",
-           "ENV_TRACE_LRU", "ENV_TRACE_LRU_BYTES", "ENV_TRACE_MMAP"]
+           "compile_program", "compile_task_program", "trace_key",
+           "clear_memory_cache", "memory_cache_len", "memory_cache_bytes",
+           "trace_cache_info", "ENV_TRACE_LRU", "ENV_TRACE_LRU_BYTES",
+           "ENV_TRACE_MMAP"]
 
 #: deprecated alias: entry-count cap on the in-memory LRU (honoured when
 #: set; the byte budget below is the primary knob)
@@ -193,25 +210,40 @@ class CompiledProgram:
     every replay path (python per-point, fused batch, native C) works on
     either.
 
+    ``task_ops[k]`` / ``task_args[k]`` hold block ``k`` of the optional
+    task table (empty lists for programs without one), in the same
+    column spelling; :data:`~repro.sim.program.OP_GRAB` ops in the
+    processor columns enter it (module docstring, "Task tables").
+    Every block must end with a GRAB.
+
     Instances are immutable by convention (the engine only reads them, and
     the native kernel takes ``const`` views), so one compiled program can
     be replayed concurrently by any number of engines and shared through
     :class:`TraceCache`.
     """
 
-    __slots__ = ("ops", "args", "n_processors", "line_size", "source_ops",
-                 "fused_work", "mapped", "_mm", "_runtime", "_batch")
+    __slots__ = ("ops", "args", "task_ops", "task_args", "n_processors",
+                 "line_size", "source_ops", "fused_work", "mapped", "_mm",
+                 "_runtime", "_tasks", "_batch")
 
     def __init__(self, ops: list, args: list, line_size: int,
                  source_ops: int, fused_work: bool, *,
+                 task_ops: list | None = None, task_args: list | None = None,
                  mapped: bool = False, mapping=None) -> None:
-        if len(ops) != len(args):
+        task_ops = [] if task_ops is None else task_ops
+        task_args = [] if task_args is None else task_args
+        if len(ops) != len(args) or len(task_ops) != len(task_args):
             raise ValueError("ops/args column counts differ")
-        for o, a in zip(ops, args):
+        for o, a in zip(ops + task_ops, args + task_args):
             if len(o) != len(a):
                 raise ValueError("ops/args columns have unequal lengths")
+        for k, o in enumerate(task_ops):
+            if not len(o) or o[-1] != OP_GRAB:
+                raise ValueError(f"task block {k} does not end with GRAB")
         self.ops = ops
         self.args = args
+        self.task_ops = task_ops
+        self.task_args = task_args
         self.n_processors = len(ops)
         self.line_size = line_size
         #: operation count before WORK fusion (what a generator would yield)
@@ -222,6 +254,7 @@ class CompiledProgram:
         #: the mmap object keeping mapped columns alive (``None`` otherwise)
         self._mm = mapping
         self._runtime = None
+        self._tasks = None
         #: batched-replay decode cache (:mod:`repro.sim.batch.columns`):
         #: packed per-processor columns plus the static per-processor
         #: counter totals, shared by every point of a batch group
@@ -251,17 +284,34 @@ class CompiledProgram:
             self._runtime = rt
         return rt
 
+    def runtime_task_columns(self):
+        """:meth:`runtime_columns` for the task table's blocks."""
+        rt = self._tasks
+        if rt is None:
+            box = _ChunkedColumn if self.mapped else list
+            rt = self._tasks = ([box(o) for o in self.task_ops],
+                                [box(a) for a in self.task_args])
+        return rt
+
     # ----------------------------------------------------------------- size
     @property
+    def n_tasks(self) -> int:
+        """Blocks in the task table (0 for programs without one)."""
+        return len(self.task_ops)
+
+    def _columns(self):
+        return zip(self.ops + self.task_ops, self.args + self.task_args)
+
+    @property
     def total_ops(self) -> int:
-        """Stored (post-fusion) operations across all processors."""
-        return sum(len(o) for o in self.ops)
+        """Stored (post-fusion) operations, task table included."""
+        return sum(len(o) for o in self.ops + self.task_ops)
 
     @property
     def nbytes(self) -> int:
         """Payload size of the flat columns (mapped or materialised)."""
         return sum(o.itemsize * len(o) + a.itemsize * len(a)
-                   for o, a in zip(self.ops, self.args))
+                   for o, a in self._columns())
 
     @property
     def resident_nbytes(self) -> int:
@@ -294,6 +344,8 @@ class CompiledProgram:
         }
         if payload_offset is not None:
             fields["payload_offset"] = payload_offset
+        if self.task_ops:  # absent key: task-less blobs stay unchanged
+            fields["task_counts"] = [len(o) for o in self.task_ops]
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
     def to_bytes(self, *, version: int = 2) -> bytes:
@@ -303,11 +355,15 @@ class CompiledProgram:
           to an 8-byte boundary, then the raw little-endian int64 columns
           (per processor: ops then args).  Uncompressed and aligned so
           :meth:`from_file` can map it and hand slices to the native
-          kernel without a copy.
+          kernel without a copy.  A task table adds a ``task_counts``
+          header field and follows the processor columns in the payload
+          (per block: ops then args).
         * **v1** — the legacy zlib-compressed encoding, kept for the
-          migration round-trip suite.
+          migration round-trip suite; it cannot carry a task table.
         """
         if version == 1:
+            if self.task_ops:
+                raise ValueError("RPROTRC1 cannot encode a task table")
             # legacy writer: native byte order, zlib-compressed
             payload = b"".join(col.tobytes()
                                for pair in zip(self.ops, self.args)
@@ -318,8 +374,7 @@ class CompiledProgram:
         if version != 2:
             raise ValueError(f"unknown trace format version {version}")
         payload = b"".join(_le_bytes(col)
-                           for pair in zip(self.ops, self.args)
-                           for col in pair)
+                           for pair in self._columns() for col in pair)
         crc = zlib.crc32(payload)
         # the header records its own payload offset; offset depends on
         # header length, so fix-point the (rarely iterating) computation
@@ -348,6 +403,16 @@ class CompiledProgram:
         return header, lo + 12 + hlen
 
     @classmethod
+    def _from_columns(cls, header, cols: list,
+                      mapping=None) -> "CompiledProgram":
+        """Build a program from decoded columns in payload order."""
+        n = 2 * len(header["counts"])
+        return cls(cols[0:n:2], cols[1:n:2], header["line_size"],
+                   header["source_ops"], header["fused_work"],
+                   task_ops=cols[n::2], task_args=cols[n + 1::2],
+                   mapped=mapping is not None, mapping=mapping)
+
+    @classmethod
     def from_bytes(cls, blob: bytes) -> "CompiledProgram":
         """Inverse of :meth:`to_bytes` — eager decode of either format.
 
@@ -373,24 +438,24 @@ class CompiledProgram:
             else:
                 raise TraceDecodeError("bad magic")
             counts = header["counts"]
+            task_counts = header.get("task_counts", [])
             if zlib.crc32(payload) != header["crc32"]:
                 raise TraceDecodeError("payload CRC mismatch")
-            if len(payload) != 2 * _ITEMSIZE * sum(counts):
+            if len(payload) != 2 * _ITEMSIZE * (sum(counts)
+                                                + sum(task_counts)):
                 raise TraceDecodeError("payload length mismatch")
-            ops: list[array] = []
-            args: list[array] = []
+            cols: list[array] = []
             offset = 0
-            for count in counts:
+            for count in counts + task_counts:
                 nb = count * _ITEMSIZE
-                for out in (ops, args):
+                for _ in range(2):
                     col = array("q")
                     col.frombytes(payload[offset:offset + nb])
                     if swap:
                         col.byteswap()
-                    out.append(col)
+                    cols.append(col)
                     offset += nb
-            return cls(ops, args, header["line_size"],
-                       header["source_ops"], header["fused_work"])
+            return cls._from_columns(header, cols)
         except TraceDecodeError:
             raise
         except Exception as exc:  # truncated/garbled in any other way
@@ -430,7 +495,7 @@ class CompiledProgram:
                 raise TraceDecodeError(f"unmappable trace: {exc!r}") from exc
         try:
             header, pos = cls._decode_header(mm)
-            counts = header["counts"]
+            counts = header["counts"] + header.get("task_counts", [])
             if header["byteorder"] != "little":
                 raise TraceDecodeError("foreign byte order")
             offset = header["payload_offset"]
@@ -440,15 +505,13 @@ class CompiledProgram:
             if hasattr(mm, "madvise"):  # replay touches columns in order
                 mm.madvise(mmap.MADV_SEQUENTIAL)
             view = memoryview(mm)
-            ops: list[memoryview] = []
-            args: list[memoryview] = []
+            cols: list[memoryview] = []
             for count in counts:
                 nb = count * _ITEMSIZE
-                for out in (ops, args):
-                    out.append(view[offset:offset + nb].cast("q"))
+                for _ in range(2):
+                    cols.append(view[offset:offset + nb].cast("q"))
                     offset += nb
-            return cls(ops, args, header["line_size"], header["source_ops"],
-                       header["fused_work"], mapped=True, mapping=mm)
+            return cls._from_columns(header, cols, mapping=mm)
         except TraceDecodeError:
             raise
         except Exception as exc:
@@ -479,6 +542,12 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     barrier is *for*; an app whose stream content depended on intra-phase
     timing would not be deterministic across machine organisations in the
     first place, and the equivalence suite would catch it).
+
+    Raytrace and Volrend, whose tile→processor assignment *does* depend
+    on simulated lock order, still drain here: :func:`compile_task_program`
+    runs this drain once over their own columns and once over their task
+    blocks, and GRAB (accepted here, not counted in ``source_ops``)
+    resolves the assignment at replay time.
     """
     if n_processors <= 0:
         raise ValueError("n_processors must be positive")
@@ -511,7 +580,9 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
                     was_work = False
                     if opcode == OP_READ or opcode == OP_WRITE:
                         arg //= line_size
-                    elif not 0 <= opcode <= OP_UNLOCK:
+                    elif opcode == OP_GRAB:
+                        source_ops -= 1  # compiled-only: no generator op
+                    elif not 0 <= opcode < OP_GRAB:
                         raise ValueError(f"unknown opcode {opcode}")
                 append_op(opcode)
                 append_arg(arg)
@@ -524,15 +595,42 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
                            fuse_work)
 
 
+def compile_task_program(program_factory: ProgramFactory,
+                         task_factory: ProgramFactory, n_tasks: int,
+                         n_processors: int, line_size: int,
+                         fuse_work: bool = True) -> CompiledProgram:
+    """Capture a task-queue program: own columns plus a task table.
+
+    ``program_factory(pid)`` yields processor ``pid``'s own column, with
+    :data:`~repro.sim.program.OP_GRAB` where the generator path would
+    read its task counter; ``task_factory(k)`` yields block ``k``, which
+    must end with a GRAB.  Both drain through :func:`compile_program`
+    (same line division, WORK fusion and validation), so one capture
+    needs no memory model and no engine run.  ``source_ops`` counts the
+    ops a generator run would yield, GRABs excluded.
+    """
+    own = compile_program(program_factory, n_processors, line_size,
+                          fuse_work)
+    if n_tasks <= 0:
+        return own
+    table = compile_program(task_factory, n_tasks, line_size, fuse_work)
+    return CompiledProgram(own.ops, own.args, line_size,
+                           own.source_ops + table.source_ops, fuse_work,
+                           task_ops=table.ops, task_args=table.args)
+
+
 class ProgramRecorder:
     """Capture a program's streams *while* an engine executes them.
 
     The barrier-phased drain of :func:`compile_program` is correct only for
-    applications whose streams are independent of intra-phase timing.  The
-    dynamic task-queue codes (Barnes, Raytrace, Volrend) violate that: a
-    lock-protected Python-side counter decides which task each processor
-    grabs, so the streams depend on simulated lock-acquisition order —
-    something only a real engine run knows.  For those, wrap the factory::
+    applications whose streams are independent of intra-phase timing.
+    Barnes violates that: its tree build inserts bodies under locks, and
+    the addresses of the cells it creates depend on the simulated
+    insertion order — something only a real engine run knows.
+    (Raytrace and Volrend grab tiles the same way, but a tile's stream
+    does not depend on who grabs it; they capture a task table with
+    :func:`compile_task_program` instead.)  For Barnes, wrap the
+    factory::
 
         recorder = ProgramRecorder(app.program, n, line_size)
         result = engine.run(recorder.factory)
@@ -605,10 +703,12 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
     deliberately **absent** — that is what lets a clustering sweep reuse
     one trace across its whole grid.
 
-    With ``stream_invariant=False`` (the dynamic task-queue applications,
-    whose executed streams depend on simulated timing) the key instead
-    covers the **complete** machine configuration: such a capture is only
-    replayable at the exact configuration that recorded it.
+    With ``stream_invariant=False`` (Barnes, whose executed streams
+    depend on simulated timing) the key instead covers the **complete**
+    machine configuration: such a capture is only replayable at the exact
+    configuration that recorded it.  Task-table captures (Raytrace,
+    Volrend) are stream-invariant and key on the trace signature, so one
+    capture serves a whole cluster × cache grid and every protocol.
     """
     if version is None:
         from .._version import __version__ as version

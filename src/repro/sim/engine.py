@@ -61,6 +61,8 @@ from ..core.metrics import MissCounters, RunResult, TimeBreakdown
 from ..memory.coherence import READ_HIT, READ_MERGE
 from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, ProgramFactory)
+
+_NO_TASK = -1  # return point of a processor running its own column
 from .stats import DEFAULT_ASSEMBLER, StatsAssembler
 from .sync import SyncRegistry
 
@@ -280,6 +282,12 @@ class Engine:
         compiled from; the per-op generator resumption, tuple unpack, and
         ``arg // line_size`` all disappear (READ/WRITE operands are
         pre-divided line numbers).
+
+        A GRAB op takes the next block of the program's task table from
+        a counter local to this replay; it costs no cycles, takes no
+        ``seq`` and never reaches the scheduling tail, so it lands in the
+        same event as the generator path's read of its task counter
+        (:mod:`repro.sim.compiled`, "Task tables").
         """
         n = self.config.n_processors
         if program.n_processors != n:
@@ -298,8 +306,16 @@ class Engine:
         fast = self.heap_fast_path
         sync = self.sync
 
-        ops_of, args_of = program.runtime_columns()
+        own_ops, own_args = program.runtime_columns()
+        task_ops, task_args = program.runtime_task_columns()
+        n_tasks = len(task_ops)
+        grabbed = 0  # the task counter: replay state, never program state
+        # each processor's current column (its own, or a task block it
+        # grabbed) and where to resume its own column after the table
+        ops_of = list(own_ops)
+        args_of = list(own_args)
         n_ops_of = [len(o) for o in ops_of]
+        resume = [_NO_TASK] * n
         ip = [0] * n  # per-processor instruction pointer
         breakdowns = [TimeBreakdown() for _ in range(n)]
         retry_line: list[int | None] = [None] * n
@@ -381,7 +397,7 @@ class Engine:
                         tn = t + 1
                     else:
                         tn = None
-                else:  # OP_UNLOCK (compile validated every opcode)
+                elif opcode == OP_UNLOCK:
                     handoff = sync.lock(arg).release(pid, t)
                     bd.cpu += 1
                     if handoff is None:
@@ -394,6 +410,25 @@ class Engine:
                         nbd.cpu += 1
                         heappush(heap, (t + 1, seq, next_pid)); seq += 1
                         tn = None
+                else:  # OP_GRAB (compile validated every opcode)
+                    task = grabbed
+                    grabbed += 1
+                    if resume[pid] == _NO_TASK:
+                        resume[pid] = i
+                    if task < n_tasks:
+                        ops = task_ops[task]
+                        args = task_args[task]
+                        i = 0
+                    else:  # queue empty: back to the own column
+                        ops = own_ops[pid]
+                        args = own_args[pid]
+                        i = resume[pid]
+                        resume[pid] = _NO_TASK
+                    n_ops = len(ops)
+                    ops_of[pid] = ops
+                    args_of[pid] = args
+                    n_ops_of[pid] = n_ops
+                    continue  # zero cycles: fetch the next op at t
 
             # ---- scheduling tail
             if tn is None:  # blocked or finished

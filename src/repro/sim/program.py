@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 __all__ = ["OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK",
-           "OP_UNLOCK", "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
-           "Op", "Program", "ProgramFactory"]
+           "OP_UNLOCK", "OP_GRAB", "Work", "Read", "Write", "Barrier", "Lock",
+           "Unlock", "Op", "Program", "ProgramFactory"]
 
 OP_WORK = 0
 OP_READ = 1
@@ -36,6 +36,10 @@ OP_WRITE = 2
 OP_BARRIER = 3
 OP_LOCK = 4
 OP_UNLOCK = 5
+#: Compiled-trace only: take the next task of the program's task table
+#: (see :mod:`repro.sim.compiled`).  Costs zero cycles and is never a
+#: scheduling point; generator programs never yield it.
+OP_GRAB = 6
 
 #: An operation: (opcode, operand).
 Op = tuple[int, int]

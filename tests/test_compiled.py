@@ -15,8 +15,8 @@ from repro.memory.coherence import CoherentMemorySystem
 from repro.sim.compiled import (CompiledProgram, ProgramRecorder,
                                 TraceDecodeError, compile_program)
 from repro.sim.engine import Engine
-from repro.sim.program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK,
-                               OP_WORK, OP_WRITE)
+from repro.sim.program import (OP_BARRIER, OP_GRAB, OP_LOCK, OP_READ,
+                               OP_UNLOCK, OP_WORK, OP_WRITE)
 
 #: smallest problem instances that still exercise every op kind
 TINY_SIZES = {
@@ -31,7 +31,10 @@ TINY_SIZES = {
     "mp3d": dict(n_particles=64, n_steps=1),
 }
 
-DYNAMIC_APPS = ("barnes", "raytrace", "volrend")
+#: timing-dependent streams: capture only by recording a run
+DYNAMIC_APPS = ("barnes",)
+#: tile-queue apps: stream-invariant, captured with a task table
+TASK_QUEUE_APPS = ("raytrace", "volrend")
 
 
 def tiny_app(name, cfg):
@@ -105,6 +108,31 @@ def test_dynamic_apps_refuse_static_drain(name):
     assert not app.stream_invariant
     with pytest.raises(ValueError, match="run_recorded"):
         app.compiled_program()
+
+
+@pytest.mark.parametrize("name", TASK_QUEUE_APPS)
+def test_task_queue_apps_capture_task_table(name):
+    """The tile-queue apps drain statically into own columns + task table.
+
+    Replaying the capture gives the recorded run's result byte for byte,
+    and it replays like the generators at another cluster size too.
+    """
+    cfg = MachineConfig(n_processors=8, cluster_size=2,
+                        cache_kb_per_processor=4.0)
+    app = tiny_app(name, cfg)
+    assert app.stream_invariant and app.task_queue
+    program = app.compiled_program()
+    assert program.n_tasks == app.n_tasks > 0
+    assert all(col[-1] == OP_GRAB for col in program.task_ops)
+    assert all(list(col).count(OP_GRAB) == 1 for col in program.ops)
+    recorded_result, recorded = tiny_app(name, cfg).run_recorded()
+    assert program.source_ops == recorded.source_ops
+    assert tiny_app(name, cfg).run(program=program).to_json() == \
+        recorded_result.to_json()
+    other = cfg.with_clusters(4)
+    want = engine_for(other).run(tiny_app(name, other).program).to_json()
+    tiny_app(name, other)
+    assert engine_for(other).run_compiled(program).to_json() == want
 
 
 def test_run_recorded_result_matches_replay():

@@ -31,6 +31,7 @@ from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
 
 from test_batch_properties import _CACHES, _config, _factory_of, _programs
 from test_runtime import CFG, TINY, golden_payload
+from test_taskqueue import task_program, task_programs
 
 try:
     _LIB = native.kernel()  # auto mode: None when no compiler/artifact
@@ -109,6 +110,26 @@ def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
     assert got.to_json() == reference.to_json()
     assert got.to_json() == fused.to_json()
     assert _snapshot(mem_native) == _snapshot(mem_fused)
+
+
+@needs_kernel
+@settings(max_examples=50, deadline=None)
+@given(data=task_programs(),
+       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=_CACHES)
+def test_native_task_tables_match_python_replay(data, cluster_pick,
+                                                cache_kb):
+    """GRAB in the C kernel: same grab order, same end state as python."""
+    n, tasks, pre, post = data
+    config = _config(n, [1, 2, n][cluster_pick], cache_kb)
+    program = task_program(n, tasks, pre, post, config.line_size)
+
+    mem_python = CoherentMemorySystem(config)
+    reference = execute_program(config, mem_python, program, compiled=True)
+    mem_native = CoherentMemorySystem(config)
+    got = replay_native(config, mem_native, program, lib=_LIB)
+
+    assert got.to_json() == reference.to_json()
+    assert _snapshot(mem_native) == _snapshot(mem_python)
 
 
 @needs_kernel

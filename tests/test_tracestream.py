@@ -10,6 +10,7 @@ traces ~free to keep resident.
 """
 
 import array
+import hashlib
 import json
 import os
 import subprocess
@@ -29,25 +30,35 @@ from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, ENV_TRACE_MMAP,
                                 TraceDecodeError, clear_memory_cache,
                                 memory_cache_bytes, trace_cache_info,
                                 trace_key)
+from repro.sim.program import OP_GRAB
 
 from test_compiled import TINY_SIZES, capture
 
 INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
 
 
-def make_program(columns, line_size=32):
-    """A CompiledProgram over explicit per-processor (ops, args) columns."""
-    ops = [array.array("q", c[0]) for c in columns]
-    args = [array.array("q", c[1]) for c in columns]
-    total = sum(len(c) for c in ops)
-    return CompiledProgram(ops, args, line_size,
-                           source_ops=total, fused_work=False)
+def make_program(columns, line_size=32, tasks=()):
+    """A CompiledProgram over explicit per-processor (ops, args) columns
+    and, optionally, task blocks in the same spelling."""
+    def q(cols, i):
+        return [array.array("q", c[i]) for c in cols]
+
+    total = sum(len(c[0]) for c in columns)
+    return CompiledProgram(q(columns, 0), q(columns, 1), line_size,
+                           source_ops=total, fused_work=False,
+                           task_ops=q(tasks, 0), task_args=q(tasks, 1))
 
 
 def columns_of(program):
     """Fully boxed (ops, args) per processor, whatever the backing."""
     return [([int(v) for v in o], [int(v) for v in a])
             for o, a in zip(*program.runtime_columns())]
+
+
+def tasks_of(program):
+    """Fully boxed (ops, args) per task block, whatever the backing."""
+    return [([int(v) for v in o], [int(v) for v in a])
+            for o, a in zip(*program.runtime_task_columns())]
 
 
 @st.composite
@@ -115,6 +126,103 @@ class TestFormatRoundTrip:
         assert list(args_cols[0]) == vals[::-1]
         assert [ops_cols[0][i] for i in (0, 4095, 4096, n - 1)] == \
             [0, 4095, 4096, n - 1]
+
+
+@st.composite
+def task_blocks(draw):
+    """Random task blocks; each ends with a GRAB, as the format requires."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 20))
+        ops = draw(st.lists(INT64, min_size=n, max_size=n)) + [OP_GRAB]
+        blocks.append((ops, draw(st.lists(INT64, min_size=n + 1,
+                                          max_size=n + 1))))
+    return blocks
+
+
+#: a pre-task-table v2 blob: task-less programs must keep encoding to it
+TASKLESS_SHA256 = ("7f03c5e55f15e354999ff866a466dda2"
+                   "85126f5788b3da9e52d2dbfddd3858dd")
+
+
+class TestTaskTables:
+    """The task section of RPROTRC2: round trip, mapping, corruption."""
+
+    @given(columns=column_sets(), tasks=task_blocks())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_eager_and_mapped(self, columns, tasks,
+                                         tmp_path_factory):
+        program = make_program(columns, tasks=tasks)
+        blob = program.to_bytes()
+        decoded = CompiledProgram.from_bytes(blob)
+        path = tmp_path_factory.mktemp("blob") / "t.trace"
+        path.write_bytes(blob)
+        mapped = CompiledProgram.from_file(path)
+        assert mapped.mapped and not decoded.mapped
+        for got in (decoded, mapped):
+            assert columns_of(got) == columns
+            assert tasks_of(got) == tasks
+            assert got.n_tasks == len(tasks)
+            assert got.total_ops == program.total_ops
+            assert got.nbytes == program.nbytes
+
+    def test_taskless_blobs_are_unchanged(self):
+        program = CompiledProgram(
+            [array.array("q", [0, 1, 3]), array.array("q", [2])],
+            [array.array("q", [5, 7, 0]), array.array("q", [9])],
+            64, source_ops=5, fused_work=True)
+        blob = program.to_bytes()
+        assert b"task_counts" not in blob
+        assert hashlib.sha256(blob).hexdigest() == TASKLESS_SHA256
+
+    def test_v1_cannot_carry_a_task_table(self):
+        program = make_program([([OP_GRAB], [0])],
+                               tasks=[([OP_GRAB], [0])])
+        with pytest.raises(ValueError, match="task table"):
+            program.to_bytes(version=1)
+
+    def _blob(self):
+        return make_program([([1, OP_GRAB], [2, 0])],
+                            tasks=[([2, OP_GRAB], [5, 0]),
+                                   ([0, 1, OP_GRAB], [3, 4, 0])]).to_bytes()
+
+    def test_every_truncation_of_the_task_section_fails(self, tmp_path):
+        blob = self._blob()
+        task_bytes = 2 * 8 * 5
+        path = tmp_path / "t.trace"
+        for cut in range(len(blob) - task_bytes, len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TraceDecodeError):
+                CompiledProgram.from_file(path)
+            with pytest.raises(TraceDecodeError):
+                CompiledProgram.from_bytes(blob[:cut])
+
+    def test_flipped_task_bit_caught_eagerly(self):
+        blob = bytearray(self._blob())
+        blob[-3] ^= 0x10  # inside the last block's args
+        with pytest.raises(TraceDecodeError, match="CRC"):
+            CompiledProgram.from_bytes(bytes(blob))
+
+    def test_block_without_trailing_grab_is_rejected(self, tmp_path):
+        # a well-framed blob (CRC intact) whose last block ends in WORK:
+        # the structural check on load refuses it, mapped or eager
+        blob = bytearray(self._blob())
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + header_len])
+        last_op = header["payload_offset"] + 8 * (2 + 2 + 2 + 2 + 2)
+        blob[last_op:last_op + 8] = (0).to_bytes(8, "little")
+        path = tmp_path / "t.trace"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceDecodeError, match="GRAB"):
+            CompiledProgram.from_file(path)
+
+    def test_corrupt_task_section_is_a_cache_miss(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.put_bytes("deadbeef", self._blob()[:-8])
+        cache = TraceCache(store)
+        with pytest.warns(UserWarning, match="corrupt compiled trace"):
+            assert cache.get("deadbeef") is None
+        assert cache.misses == 1
 
 
 class TestCorruption:
