@@ -83,8 +83,7 @@ def test_floor_covers_memory_streams(floor):
 
 
 def test_floor_covers_kernel_sections(floor):
-    """The batched-replay and native-kernel A/B floors are pinned."""
+    """The native-kernel and trace-streaming A/B floors are pinned."""
     sections = {k for k in floor if ":" in k and not k.startswith("memory:")}
-    assert sections == {"batch:points_per_s", "batch:speedup",
-                        "native:points_per_s", "native:batch_speedup",
-                        "native:warm_speedup"}
+    assert sections == {"native:points_per_s", "native:warm_speedup",
+                        "trace:first_point_speedup", "trace:maxrss_ratio"}

@@ -21,10 +21,6 @@ Execution control (see ``docs/EXECUTION.md``):
 * ``--jobs N`` fans the sweep grid out over ``N`` worker processes
   (results are byte-identical to the serial run — the simulator is
   deterministic);
-* ``--batch`` switches to batched lockstep replay: sweep points that
-  share a compiled trace are grouped and driven over one decode of the
-  trace columns (still byte-identical; Barnes, Raytrace and Volrend
-  fall through to per-point replay);
 * ``--native`` forces the native C replay kernel (exit 2 when it cannot
   be built), ``--no-native`` forces the pure-python kernels; with
   neither flag the kernel auto-selects (native when a compiler or cached
@@ -152,26 +148,11 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
                   "method, which this platform does not provide",
                   file=sys.stderr)
             raise SystemExit(2)
-        if args.batch and args.no_cache:
-            # batching needs the disk trace store: groups dispatched to
-            # worker processes share their one decode via the store, and
-            # an LRU-only cache would silently degrade every group to a
-            # per-worker recapture — refuse instead
-            print("repro-clustering: --batch needs the persistent trace "
-                  "store, which --no-cache disables; drop one of the two "
-                  "flags", file=sys.stderr)
-            raise SystemExit(2)
-        if args.batch and args.timeout is not None:
-            print("repro-clustering: --batch evaluates whole trace-key "
-                  "groups per dispatch, so the per-point --timeout cannot "
-                  "be enforced; drop one of the two flags", file=sys.stderr)
-            raise SystemExit(2)
         executor = SweepExecutor(
             backend=backend,
             max_workers=jobs if jobs > 1 else None,
             timeout=args.timeout, cache=cache,
-            trace_cache=TraceCache(store), batch=args.batch,
-            native=_native_selection(args))
+            trace_cache=TraceCache(store), native=_native_selection(args))
         args._executor = executor
     return executor
 
@@ -686,9 +667,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .core.bench import (bench_batch, bench_engine, bench_jobs,
-                             bench_memory, bench_native, bench_sweep,
-                             bench_trace, check_floor, write_report)
+    from .core.bench import (bench_engine, bench_jobs, bench_memory,
+                             bench_native, bench_sweep, bench_trace,
+                             check_floor, write_report)
 
     _native_selection(args)  # validate the flag pair; exits 2 when forced
     # native but unbuildable, so the A/B below never starts half-broken
@@ -750,41 +731,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
 
-    batch = None
-    if args.batch:
-        batch = bench_batch(apps, config, args.cluster_sizes,
-                            kwargs_of=kwargs_of,
-                            repeats=max(3, args.repeats))
-        print(f"\n# batched lockstep replay A/B ({batch.n_points} points, "
-              f"{batch.groups} trace-key groups, best of {batch.repeats})")
-        print(f"  per-point warm {batch.warm_s:>8.2f}s")
-        print(f"  batched        {batch.batched_s:>8.2f}s "
-              f"({batch.batch_speedup:.2f}x, "
-              f"{batch.points_per_s:.1f} points/s)")
-        print(f"  fused {batch.fused_points} / fallback "
-              f"{batch.fallback_points} / fallthrough "
-              f"{batch.fallthrough_points} points")
-        if not batch.identical:
-            print("ERROR: batched replay diverged from per-point results",
-                  file=sys.stderr)
-            return 1
-
     native = None
     if args.native:
         native = bench_native(apps, config, args.cluster_sizes,
                               kwargs_of=kwargs_of,
                               repeats=max(3, args.repeats))
         print(f"\n# native C kernel vs python A/B ({native.n_points} points, "
-              f"{native.groups} trace-key groups, best of {native.repeats})")
+              f"best of {native.repeats})")
         print(f"  per-point warm  python {native.python_warm_s:>8.2f}s  "
               f"native {native.native_warm_s:>8.2f}s "
-              f"({native.warm_speedup:.2f}x)")
-        print(f"  batched         python {native.python_batched_s:>8.2f}s  "
-              f"native {native.native_batched_s:>8.2f}s "
-              f"({native.batch_speedup:.2f}x, "
+              f"({native.warm_speedup:.2f}x, "
               f"{native.points_per_s:.1f} points/s)")
-        print(f"  {native.native_points} of {native.n_points} points on the "
-              f"C kernel per batched pass")
         if not native.identical:
             print("ERROR: native kernel diverged from pure-python results",
                   file=sys.stderr)
@@ -816,13 +773,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
 
     write_report(args.output, rows, sweep, config, memory=memory, jobs=jobs,
-                 batch=batch, native=native, trace=trace)
+                 native=native, trace=trace)
     print(f"\nwrote {args.output}  [{time.time() - t0:.1f}s]")
 
     if args.floor:
         floor = json.loads(Path(args.floor).read_text(encoding="utf-8"))
         failures = check_floor(rows, floor, args.floor_tolerance,
-                               memory=memory, batch=batch, native=native,
+                               memory=memory, native=native,
                                trace=trace)
         if failures:
             for line in failures:
@@ -830,11 +787,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         measured = {r.app for r in rows}
         measured |= {f"memory:{m.stream}" for m in memory or ()}
-        if batch is not None:
-            measured |= {"batch:points_per_s", "batch:speedup"}
         if native is not None:
-            measured |= {"native:points_per_s", "native:batch_speedup",
-                         "native:warm_speedup"}
+            measured |= {"native:points_per_s", "native:warm_speedup"}
         if trace is not None:
             measured |= {"trace:first_point_speedup", "trace:maxrss_ratio"}
         covered = sorted(set(floor) & measured)
@@ -870,11 +824,6 @@ def _add_global_options(p: argparse.ArgumentParser, *,
                    help="with --jobs N: fork-server mode — preload compiled "
                    "traces in the parent, fork workers that inherit them "
                    "copy-on-write (POSIX only; exits 2 elsewhere)")
-    p.add_argument("--batch", action="store_true", default=dflt(False),
-                   help="batched lockstep replay: group sweep points by "
-                   "compiled trace and replay each group over one shared "
-                   "decode (byte-identical results; composes with --jobs "
-                   "by sharding groups across workers)")
     p.add_argument("--native", action="store_true", default=dflt(False),
                    help="force the native C replay kernel (exit 2 when it "
                    "cannot be built; results are byte-identical to the "

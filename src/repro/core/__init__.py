@@ -12,7 +12,7 @@ __all__ = [
     "PAPER_CLUSTER_SIZES", "PAPER_CACHE_SIZES_KB",
     "MissKind", "MissCause", "MissCounters", "TimeBreakdown", "RunResult",
     "ClusteringStudy", "SweepPoint", "normalize_sweep", "cache_label",
-    "SweepExecutor", "PointSpec", "PointOutcome", "SweepExecutionError",
+    "SweepExecutor", "RunRequest", "PointOutcome", "SweepExecutionError",
     "ResultCache", "TraceStore",
     "SharedCacheCostModel", "LoadLatencyProfiler", "ExpansionTable",
     "bank_conflict_probability", "banks_for_cluster", "conflict_table",
@@ -23,11 +23,11 @@ __all__ = [
     "pushout",
 ]
 
+from ..runtime.plan import RunRequest
 from .contention import (PAPER_TABLE5, ExpansionTable, LoadLatencyProfiler,
                          SharedCacheCostModel, bank_conflict_probability,
                          banks_for_cluster, conflict_table)
-from .executor import (PointOutcome, PointSpec, SweepExecutionError,
-                       SweepExecutor)
+from .executor import PointOutcome, SweepExecutionError, SweepExecutor
 from .resultcache import ResultCache, TraceStore
 from .scaling import (ScalingCurve, ScalingPoint, effective_processors,
                       pushout, scaling_curve)

@@ -1,6 +1,6 @@
 """Engine throughput and sweep benchmarking (``repro-clustering bench``).
 
-Four measurements, all written to ``BENCH_engine.json``:
+Six measurements, all written to ``BENCH_engine.json``:
 
 * **Engine throughput** (:func:`bench_engine`) — simulated operations per
   second for one application on one machine, along three paths: the
@@ -25,6 +25,9 @@ Four measurements, all written to ``BENCH_engine.json``:
   backend (fork-server mode: traces preloaded in the parent, inherited
   copy-on-write), pool startup included.  POSIX only; on platforms
   without ``fork`` the comparison is skipped.
+* **Native kernel A/B** (:func:`bench_native`) — the per-point warm
+  sweep with the pure-python replay vs the native C kernel, same
+  session, same warm trace cache.
 * **Trace streaming A/B** (:func:`bench_trace`) — decode latency,
   first-point latency and peak RSS of one pre-captured paper-scale trace
   consumed *materialized* (``REPRO_TRACE_MMAP=0``: full read + boxed
@@ -58,14 +61,15 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..runtime.plan import RunRequest
 from .config import MachineConfig
-from .executor import PointSpec, evaluate_point
+from .executor import evaluate_point
 
 __all__ = ["AppBenchResult", "SweepBenchResult", "MemoryBenchResult",
-           "JobsBenchResult", "BatchBenchResult", "NativeBenchResult",
-           "TraceBenchResult", "bench_engine", "bench_sweep", "bench_memory",
-           "bench_jobs", "bench_batch", "bench_native", "bench_trace",
-           "check_floor", "write_report", "SCHEMA_VERSION"]
+           "JobsBenchResult", "NativeBenchResult", "TraceBenchResult",
+           "bench_engine", "bench_sweep", "bench_memory", "bench_jobs",
+           "bench_native", "bench_trace", "check_floor", "write_report",
+           "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
@@ -223,12 +227,12 @@ def bench_sweep(apps: Sequence[str], config: MachineConfig,
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     session = RunSession(base_config=config)
 
-    def run_legacy(spec: PointSpec):
+    def run_legacy(spec: RunRequest):
         return session.run_detailed(spec, heap_fast_path=False).result
 
     t0 = time.perf_counter()
@@ -417,7 +421,7 @@ def bench_jobs(apps: Sequence[str], config: MachineConfig,
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-jobs-") as tmp:
@@ -450,126 +454,14 @@ def bench_jobs(apps: Sequence[str], config: MachineConfig,
 
 
 @dataclass
-class BatchBenchResult:
-    """Same-session A/B: per-point warm replay vs batched lockstep replay.
-
-    ``warm_s`` is the per-point warm sweep (the exact measurement behind
-    :class:`SweepBenchResult.warm_s`); ``batched_s`` is the identical
-    grid through ``SweepExecutor(batch=True)`` — trace-key groups over
-    one shared decode, fused replay kernel — in the same process against
-    the same warm cache.  Passes interleave A,B,A,B,… and the fastest
-    pass per side is kept, so machine noise hits both sides
-    symmetrically.  ``identical`` compares both sides' full RunResult
-    JSON byte-for-byte and should never be False.
-    """
-
-    apps: list[str]
-    cluster_sizes: list[int]
-    cache_kb: float | None
-    n_points: int
-    repeats: int
-    warm_s: float
-    batched_s: float
-    groups: int
-    fused_points: int
-    fallback_points: int
-    fallthrough_points: int
-    identical: bool = True
-
-    @property
-    def batch_speedup(self) -> float:
-        """Warm-sweep wall-clock improvement of batched over per-point."""
-        return self.warm_s / self.batched_s if self.batched_s else 0.0
-
-    @property
-    def points_per_s(self) -> float:
-        """Sweep points retired per second under batched replay."""
-        return self.n_points / self.batched_s if self.batched_s else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        out.update(batch_speedup=round(self.batch_speedup, 3),
-                   points_per_s=round(self.points_per_s, 3))
-        return out
-
-
-def bench_batch(apps: Sequence[str], config: MachineConfig,
-                cluster_sizes: Iterable[int] = (1, 2, 4, 8),
-                cache_kb: float | None = 4.0,
-                kwargs_of: Mapping[str, Mapping[str, Any]] | None = None,
-                repeats: int = 3) -> BatchBenchResult:
-    """Time the warm sweep per-point vs batched, in one session.
-
-    A cold, untimed pass first captures every trace into a throwaway
-    disk store so both timed sides replay from the same fully-warm
-    cache.  The A side is the per-point warm sweep (``evaluate_point``
-    per spec, exactly :func:`bench_sweep`'s ``warm`` mode); the B side
-    is the same grid through a serial batching executor.  A fresh
-    executor per B pass keeps the reported group counters single-pass.
-    """
-    import tempfile
-
-    from ..core.resultcache import TraceStore
-    from ..sim.compiled import TraceCache, clear_memory_cache
-    from .executor import SweepExecutor
-
-    kwargs_of = kwargs_of or {}
-    cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
-             for app in apps for cs in cluster_sizes]
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-batch-") as tmp:
-        clear_memory_cache()
-        cache = TraceCache(TraceStore(tmp))
-        reference = [evaluate_point(s, config, trace_cache=cache).to_json()
-                     for s in specs]
-
-        warm_s: float | None = None
-        batched_s: float | None = None
-        identical = True
-        stats = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            warm = [evaluate_point(s, config, trace_cache=cache).to_json()
-                    for s in specs]
-            elapsed = time.perf_counter() - t0
-            warm_s = elapsed if warm_s is None else min(warm_s, elapsed)
-
-            executor = SweepExecutor(backend="serial", batch=True,
-                                     trace_cache=cache)
-            t0 = time.perf_counter()
-            outcomes = executor.run(specs, config)
-            elapsed = time.perf_counter() - t0
-            batched_s = elapsed if batched_s is None else min(batched_s,
-                                                              elapsed)
-            batched = [o.result.to_json() if o.ok else o.error
-                       for o in outcomes]
-            identical = identical and warm == reference \
-                and batched == reference
-            stats = executor.batch_stats
-
-    return BatchBenchResult(
-        apps=list(apps), cluster_sizes=cluster_sizes, cache_kb=cache_kb,
-        n_points=len(specs), repeats=max(1, repeats),
-        warm_s=warm_s or 0.0, batched_s=batched_s or 0.0,
-        groups=stats.groups, fused_points=stats.fused_points,
-        fallback_points=stats.fallback_points,
-        fallthrough_points=stats.fallthrough_points, identical=identical,
-    )
-
-
-@dataclass
 class NativeBenchResult:
-    """Same-session A/B: pure-python replay kernels vs the native C kernel.
+    """Same-session A/B: pure-python replay vs the native C kernel.
 
-    Four timed sides over one fully-warm trace cache, interleaved
-    python-warm, native-warm, python-batched, native-batched per repeat
-    (fastest pass per side kept): the ``warm`` pair is the per-point
-    sweep (``evaluate_point`` per spec, native serving each point through
-    the session's replay seam), the ``batched`` pair is the identical
-    grid through ``SweepExecutor(batch=True)`` — so ``batch_speedup`` is
-    *C kernel vs the python fused kernel*, not vs unbatched replay.
-    ``identical`` compares every side's full RunResult JSON
+    Two timed sides over one fully-warm trace cache, interleaved
+    python, native per repeat (fastest pass per side kept): the
+    per-point warm sweep (``evaluate_point`` per spec, native serving
+    each point through the session's replay seam) under each kernel
+    selection.  ``identical`` compares both sides' full RunResult JSON
     byte-for-byte and should never be False.
     """
 
@@ -580,10 +472,6 @@ class NativeBenchResult:
     repeats: int
     python_warm_s: float
     native_warm_s: float
-    python_batched_s: float
-    native_batched_s: float
-    groups: int
-    native_points: int
     identical: bool = True
 
     @property
@@ -593,21 +481,14 @@ class NativeBenchResult:
                 if self.native_warm_s else 0.0)
 
     @property
-    def batch_speedup(self) -> float:
-        """Batched-sweep improvement of native over the python fused kernel."""
-        return (self.python_batched_s / self.native_batched_s
-                if self.native_batched_s else 0.0)
-
-    @property
     def points_per_s(self) -> float:
-        """Sweep points retired per second under native batched replay."""
-        return (self.n_points / self.native_batched_s
-                if self.native_batched_s else 0.0)
+        """Sweep points retired per second by the native warm sweep."""
+        return (self.n_points / self.native_warm_s
+                if self.native_warm_s else 0.0)
 
     def to_dict(self) -> dict[str, Any]:
         out = asdict(self)
         out.update(warm_speedup=round(self.warm_speedup, 3),
-                   batch_speedup=round(self.batch_speedup, 3),
                    points_per_s=round(self.points_per_s, 3))
         return out
 
@@ -617,11 +498,11 @@ def bench_native(apps: Sequence[str], config: MachineConfig,
                  cache_kb: float | None = 4.0,
                  kwargs_of: Mapping[str, Mapping[str, Any]] | None = None,
                  repeats: int = 3) -> NativeBenchResult:
-    """Time the warm and batched sweeps under each replay kernel.
+    """Time the per-point warm sweep under each replay kernel.
 
-    Mirrors :func:`bench_batch`'s protocol — cold untimed capture pass
-    into a throwaway disk store, then interleaved timed passes against
-    the same warm cache — but the A/B axis is the kernel selection
+    A cold, untimed pass first captures every trace into a throwaway
+    disk store so both timed sides replay from the same fully-warm
+    cache; the A/B axis is the kernel selection
     (:func:`repro.native.set_native`), toggled around each pass and
     restored afterwards.  Raises up front when the native kernel cannot
     be built; callers gate on availability.
@@ -632,11 +513,10 @@ def bench_native(apps: Sequence[str], config: MachineConfig,
 
     from ..core.resultcache import TraceStore
     from ..sim.compiled import TraceCache, clear_memory_cache
-    from .executor import SweepExecutor
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     prev = os.environ.get("REPRO_NATIVE")
@@ -652,46 +532,24 @@ def bench_native(apps: Sequence[str], config: MachineConfig,
                                         trace_cache=cache).to_json()
                          for s in specs]
 
-            best: dict[str, float | None] = {
-                "python_warm": None, "native_warm": None,
-                "python_batched": None, "native_batched": None}
+            best: dict[bool, float | None] = {False: None, True: None}
             identical = True
-            stats = None
 
             def warm_pass(use_native: bool) -> list[str]:
                 native.set_native(use_native)
-                key = "native_warm" if use_native else "python_warm"
                 t0 = time.perf_counter()
                 out = [evaluate_point(s, config,
                                       trace_cache=cache).to_json()
                        for s in specs]
                 elapsed = time.perf_counter() - t0
-                best[key] = (elapsed if best[key] is None
-                             else min(best[key], elapsed))
+                prior = best[use_native]
+                best[use_native] = (elapsed if prior is None
+                                    else min(prior, elapsed))
                 return out
 
-            def batched_pass(use_native: bool):
-                native.set_native(use_native)
-                key = "native_batched" if use_native else "python_batched"
-                executor = SweepExecutor(backend="serial", batch=True,
-                                         trace_cache=cache)
-                t0 = time.perf_counter()
-                outcomes = executor.run(specs, config)
-                elapsed = time.perf_counter() - t0
-                best[key] = (elapsed if best[key] is None
-                             else min(best[key], elapsed))
-                out = [o.result.to_json() if o.ok else o.error
-                       for o in outcomes]
-                return out, executor.batch_stats
-
             for _ in range(max(1, repeats)):
-                pw = warm_pass(False)
-                nw = warm_pass(True)
-                pb, _pstats = batched_pass(False)
-                nb, stats = batched_pass(True)
-                identical = (identical and pw == reference
-                             and nw == reference and pb == reference
-                             and nb == reference)
+                identical = (identical and warm_pass(False) == reference
+                             and warm_pass(True) == reference)
     finally:
         if prev is None:
             os.environ.pop("REPRO_NATIVE", None)
@@ -701,11 +559,7 @@ def bench_native(apps: Sequence[str], config: MachineConfig,
     return NativeBenchResult(
         apps=list(apps), cluster_sizes=cluster_sizes, cache_kb=cache_kb,
         n_points=len(specs), repeats=max(1, repeats),
-        python_warm_s=best["python_warm"] or 0.0,
-        native_warm_s=best["native_warm"] or 0.0,
-        python_batched_s=best["python_batched"] or 0.0,
-        native_batched_s=best["native_batched"] or 0.0,
-        groups=stats.groups, native_points=stats.native_points,
+        python_warm_s=best[False] or 0.0, native_warm_s=best[True] or 0.0,
         identical=identical,
     )
 
@@ -778,7 +632,7 @@ def _trace_child(payload: Mapping[str, Any]) -> dict[str, Any]:
     from ..sim.compiled import TraceCache, clear_memory_cache
     from .resultcache import TraceStore
 
-    spec = PointSpec.make(payload["app"], payload["cluster_size"],
+    spec = RunRequest.make(payload["app"], payload["cluster_size"],
                           payload["cache_kb"], dict(payload["kwargs"]))
     config = MachineConfig(n_processors=payload["n_processors"])
     store = TraceStore(payload["store_dir"])
@@ -910,7 +764,6 @@ def write_report(path: str | Path,
                  extra: Mapping[str, Any] | None = None,
                  memory: Sequence[MemoryBenchResult] | None = None,
                  jobs: JobsBenchResult | None = None,
-                 batch: BatchBenchResult | None = None,
                  native: NativeBenchResult | None = None,
                  trace: TraceBenchResult | None = None) -> dict[str, Any]:
     """Assemble and write ``BENCH_engine.json``; returns the payload."""
@@ -927,8 +780,6 @@ def write_report(path: str | Path,
         payload["memory"] = {r.stream: r.to_dict() for r in memory}
     if jobs is not None:
         payload["jobs"] = jobs.to_dict()
-    if batch is not None:
-        payload["batch"] = batch.to_dict()
     if native is not None:
         payload["native"] = native.to_dict()
     if trace is not None:
@@ -946,7 +797,6 @@ def check_floor(engine: Sequence[AppBenchResult],
                 floor: Mapping[str, float],
                 tolerance: float = 0.30,
                 memory: Sequence[MemoryBenchResult] | None = None,
-                batch: BatchBenchResult | None = None,
                 native: NativeBenchResult | None = None,
                 trace: TraceBenchResult | None = None,
                 ) -> list[str]:
@@ -954,15 +804,12 @@ def check_floor(engine: Sequence[AppBenchResult],
 
     ``floor`` maps app name → minimum acceptable replay ops/sec; keys of
     the form ``"memory:<stream>"`` (e.g. ``"memory:hit"``) instead floor
-    the :func:`bench_memory` streams, ``"batch:points_per_s"`` /
-    ``"batch:speedup"`` floor the :func:`bench_batch` A/B, and
-    ``"native:points_per_s"`` / ``"native:batch_speedup"`` /
+    the :func:`bench_memory` streams, ``"native:points_per_s"`` /
     ``"native:warm_speedup"`` floor the :func:`bench_native` kernel
     A/B, and ``"trace:first_point_speedup"`` / ``"trace:maxrss_ratio"``
     floor the :func:`bench_trace` streaming A/B (both are
     materialized/mapped ratios — higher means mapping wins more).  A
-    measurement
-    below ``floor * (1 - tolerance)`` is a regression.  Returns
+    measurement below ``floor * (1 - tolerance)`` is a regression.  Returns
     human-readable failure lines (empty = all good).  Entries absent from
     the floor are ignored, so the floor file can cover a subset.
     """
@@ -974,19 +821,10 @@ def check_floor(engine: Sequence[AppBenchResult],
     measured += [(f"memory:{r.stream}", "protocol throughput",
                   r.ops_per_s, "ops/s")
                  for r in (memory or ())]
-    if batch is not None:
-        measured += [
-            ("batch:points_per_s", "batched-sweep throughput",
-             batch.points_per_s, "points/s"),
-            ("batch:speedup", "batched-vs-warm speedup",
-             batch.batch_speedup, "x"),
-        ]
     if native is not None:
         measured += [
-            ("native:points_per_s", "native batched-sweep throughput",
+            ("native:points_per_s", "native warm-sweep throughput",
              native.points_per_s, "points/s"),
-            ("native:batch_speedup", "native-vs-python batched speedup",
-             native.batch_speedup, "x"),
             ("native:warm_speedup", "native-vs-python warm speedup",
              native.warm_speedup, "x"),
         ]

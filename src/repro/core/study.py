@@ -31,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
+from ..runtime.plan import RunRequest
 from .config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                      PAPER_NETWORK_LOADS, PROTOCOLS, MachineConfig)
-from .executor import PointSpec, SweepExecutor, raise_failures
+from .executor import SweepExecutor, raise_failures
 from .metrics import RunResult
 
 __all__ = ["SweepPoint", "ClusteringStudy", "normalize_sweep",
@@ -91,8 +92,8 @@ class ClusteringStudy:
     def _executor(self) -> SweepExecutor:
         return self.executor if self.executor is not None else SweepExecutor()
 
-    def _spec(self, cluster_size: int, cache_kb: CacheKey) -> PointSpec:
-        return PointSpec.make(self.app, cluster_size, cache_kb,
+    def _spec(self, cluster_size: int, cache_kb: CacheKey) -> RunRequest:
+        return RunRequest.make(self.app, cluster_size, cache_kb,
                               self.app_kwargs)
 
     def run_point(self, cluster_size: int, cache_kb: CacheKey) -> SweepPoint:
@@ -102,7 +103,7 @@ class ClusteringStudy:
         raise_failures([outcome])
         return SweepPoint(self.app, cluster_size, cache_kb, outcome.result)
 
-    def _run_grid(self, grid: list[tuple[Any, PointSpec]]) -> list[RunResult]:
+    def _run_grid(self, grid: list[tuple[Any, RunRequest]]) -> list[RunResult]:
         outcomes = self._executor().run([spec for _, spec in grid],
                                         self.base_config)
         raise_failures(outcomes)
@@ -154,7 +155,7 @@ class ClusteringStudy:
                           background_load=float(load),
                           contention=load > 0)
             for c in cluster_sizes:
-                spec = PointSpec.make(self.app, c, cache_kb,
+                spec = RunRequest.make(self.app, c, cache_kb,
                                       self.app_kwargs, network=net)
                 grid.append(((float(load), c), spec))
         results = self._run_grid(grid)
@@ -182,7 +183,7 @@ class ClusteringStudy:
         :func:`repro.analysis.tables.render_protocol_comparison` the
         companion table.
         """
-        grid = [((p, c), PointSpec.make(self.app, c, cache_kb,
+        grid = [((p, c), RunRequest.make(self.app, c, cache_kb,
                                         self.app_kwargs, protocol=p))
                 for p in protocols for c in cluster_sizes]
         results = self._run_grid(grid)

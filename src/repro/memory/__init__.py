@@ -12,14 +12,13 @@ Which backend a run uses is a :class:`~repro.core.config.MachineConfig`
 axis (``config.protocol``), realised here: :data:`PROTOCOL_REGISTRY` maps
 every name in :data:`repro.core.config.PROTOCOLS` to a memory-system
 factory, and :func:`make_memory_system` is the one construction seam the
-execution layers (``apps.base``, ``runtime.session``, ``sim.batch``) go
-through.  Constructing a concrete class directly still works for probes
-and tests, but bypasses protocol selection — the package-level
-``SnoopyClusterMemorySystem`` alias warns about exactly that.
+execution layers (``apps.base``, ``runtime.session``) go through.
+Constructing a concrete class from its module (e.g.
+:class:`repro.memory.snoopy.SnoopyClusterMemorySystem`) still works for
+probes and tests, but bypasses protocol selection.
 """
 
 from typing import TYPE_CHECKING, Callable
-import warnings
 
 from ..core.config import PROTOCOLS, MachineConfig
 from .address import AddressSpace, Region, line_of, page_of
@@ -40,7 +39,7 @@ __all__ = [
     "FullyAssociativeCache", "SetAssociativeCache", "make_cache",
     "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "SHARER_SHIFT", "Directory",
     "READ_HIT", "READ_MERGE", "READ_MISS", "CoherentMemorySystem",
-    "DLSMemorySystem", "SnoopyClusterMemorySystem",
+    "DLSMemorySystem",
     "PROTOCOL_REGISTRY", "make_memory_system", "register_protocol",
 ]
 
@@ -92,23 +91,3 @@ def make_memory_system(config: MachineConfig,
                          f"protocol {config.protocol!r}")
     return factory(config, allocator)
 
-
-class SnoopyClusterMemorySystem(_SnoopyClusterMemorySystem):
-    """Deprecated package-level alias; construct through the registry.
-
-    Direct construction bypasses the protocol seam (``config.protocol``
-    is ignored), so the package-level name now warns.  Import
-    :class:`repro.memory.snoopy.SnoopyClusterMemorySystem` for probes
-    that genuinely want explicit wiring, or — almost always better —
-    select the backend with ``config.with_protocol("snoopy")`` and
-    :func:`make_memory_system`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "constructing repro.memory.SnoopyClusterMemorySystem directly "
-            "is deprecated; use make_memory_system(config.with_protocol"
-            "('snoopy'), allocator) or import the class from "
-            "repro.memory.snoopy",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

@@ -1,8 +1,9 @@
 """Native replay kernel: selection seam and escape hatch.
 
 ``repro.native`` owns the optional C column interpreter
-(:mod:`kernel.c <repro.native.build>`) that twins the pure-python fused
-replay kernel byte-for-byte.  This module decides *whether* it runs:
+(:mod:`kernel.c <repro.native.build>`) that twins the canonical python
+compiled replay (:meth:`repro.sim.engine.Engine.run_compiled`)
+byte-for-byte.  This module decides *whether* it runs:
 
 * ``REPRO_NATIVE`` env var — ``0``/``off`` disables, ``1``/``on``
   forces (raising if no kernel can be built), unset/``auto`` uses the
@@ -14,7 +15,7 @@ replay kernel byte-for-byte.  This module decides *whether* it runs:
   ``SweepExecutor(native=...)`` and the ``--native/--no-native`` CLI
   flags); it writes ``REPRO_NATIVE`` so children agree with the parent.
 
-The pure-python kernels remain canonical; everything here degrades
+The pure-python engine remains canonical; everything here degrades
 gracefully to them (missing compiler, failed build, forced off).
 Layer rank 2: imports nothing above :mod:`repro.memory`.
 """

@@ -1,18 +1,19 @@
 """Marshal one replay into the C kernel and write its end state back.
 
 The kernel (:mod:`repro.native.build` compiles ``kernel.c``) runs the
-entire fused replay in a single call over zero-copy views of the
+entire replay in a single call over zero-copy views of the
 program's ``array('q')`` opcode/operand columns and returns the full
 observable end state in one int64 blob.  :func:`run_native` writes that
 state back **in place** into the live :class:`CoherentMemorySystem`
 objects — slot maps rebuilt in exact LRU/dict order, columns extended
 with the cache's own growth schedule, counters accumulated — so the
-memory system afterwards is indistinguishable from one the pure-python
-fused kernel drove, and the caller can assemble the identical
+memory system afterwards is indistinguishable from one the canonical
+python engine (:meth:`~repro.sim.engine.Engine.run_compiled`) drove, and
+the caller can assemble the identical
 :class:`~repro.core.metrics.RunResult`.
 
 Error statuses map to the exact exceptions (type and message) the
-python kernel raises; deadlock (status 1) writes the state back and
+canonical engine raises; deadlock (status 1) writes the state back and
 raises :class:`NativeDeadlock` carrying the finish times and sync
 registry snapshot so the sim layer can produce the canonical
 ``SimulationDeadlock`` message.
@@ -88,8 +89,8 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
 
     ``memory`` must be fresh and flat (the ``native_fusible`` gate in
     :mod:`repro.sim.nativereplay` guarantees it).  Mutates ``memory``
-    and its allocator in place to the exact end state the pure-python
-    fused kernel would leave.
+    and its allocator in place to the exact end state the canonical
+    python engine would leave.
     """
     n = config.n_processors
     ncl = config.n_clusters

@@ -1,4 +1,5 @@
-/* Native replay kernel: C twin of repro.sim.batch.engine.replay_fused.
+/* Native replay kernel: C twin of the canonical compiled replay,
+ * repro.sim.engine.Engine.run_compiled.
  *
  * One call replays one compiled program against one (fresh) flat-latency
  * CoherentMemorySystem configuration and returns every observable side
@@ -7,10 +8,10 @@
  * per-cluster cache columns in exact LRU order, free lists, miss
  * histories, counters, allocator first touches, sync registry).  The
  * Python driver (repro.native.driver) writes the blob back into the
- * live objects, so the result is byte-identical to the pure-python
- * fused kernel — which remains the canonical reference.
+ * live objects, so the result is byte-identical to the canonical
+ * python engine — which remains the reference.
  *
- * Equivalences relied on (proved against the python kernel, pinned by
+ * Equivalences relied on (proved against the canonical engine, pinned by
  * tests/test_native_properties.py):
  *
  * - scheduler: a binary heap of (time, seq, pid) with a monotone seq
@@ -21,8 +22,8 @@
  *   (pop + reinsert == unlink + push_tail); maintained untouched in
  *   infinite mode too so the exported slot_of order equals dict order.
  * - counters: busy cycles and reads/writes are counted online at op
- *   dispatch (never on a merge retry), which totals exactly the static
- *   seeding the python kernel performs up front.
+ *   dispatch (never on a merge retry), which totals exactly what the
+ *   canonical python replay counts.
  *
  * - task table: GRAB (op 6) takes k = grabbed++ and continues in task
  *   block k, or -- once k >= n_tasks -- back in the processor's own

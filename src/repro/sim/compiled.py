@@ -29,9 +29,7 @@ This module provides that capture/replay layer:
   app once per process and ``--jobs`` worker processes share traces via
   disk.
 
-**Streaming traces.**  Two wire formats coexist.  The legacy ``RPROTRC1``
-encoding (zlib-compressed, CRC-protected) remains readable for migration.
-The current ``RPROTRC2`` encoding is *mmappable*: an aligned, uncompressed
+**Streaming traces.**  The ``RPROTRC2`` wire format is *mmappable*: an aligned, uncompressed
 little-endian int64 section per column behind a JSON header/TOC, so
 :meth:`CompiledProgram.from_file` can map a
 :class:`~repro.core.resultcache.TraceStore` blob copy-on-write
@@ -49,9 +47,8 @@ through a bounded footprint instead of materialising everywhere.
 The in-memory LRU is governed by a **byte budget**
 (``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
 a token constant — so any number of paper-scale mapped traces stay
-resident while materialised ones are evicted by size.  The historical
-entry-count knob (``REPRO_TRACE_LRU``) is still honoured when set, as a
-deprecated alias.  ``REPRO_TRACE_MMAP=0`` disables mapping (every disk
+resident while materialised ones are evicted by size.
+``REPRO_TRACE_MMAP=0`` disables mapping (every disk
 load decodes eagerly to arrays).
 
 **Task tables.**  Raytrace and Volrend load-balance through a
@@ -98,12 +95,7 @@ from .program import (OP_BARRIER, OP_GRAB, OP_READ, OP_WORK, OP_WRITE,
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
            "compile_program", "compile_task_program", "trace_key",
            "clear_memory_cache", "memory_cache_len", "memory_cache_bytes",
-           "trace_cache_info", "ENV_TRACE_LRU", "ENV_TRACE_LRU_BYTES",
-           "ENV_TRACE_MMAP"]
-
-#: deprecated alias: entry-count cap on the in-memory LRU (honoured when
-#: set; the byte budget below is the primary knob)
-ENV_TRACE_LRU = "REPRO_TRACE_LRU"
+           "trace_cache_info", "ENV_TRACE_LRU_BYTES", "ENV_TRACE_MMAP"]
 
 #: environment variable overriding the in-memory LRU byte budget
 ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
@@ -125,10 +117,9 @@ _MAPPED_RESIDENT_BYTES = 4096
 
 #: serialization magics: bump the trailing digit on any format change so
 #: stale cache entries from older versions decode as misses, not garbage
-_MAGIC_V1 = b"RPROTRC1"
 _MAGIC = b"RPROTRC2"
 
-_ITEMSIZE = 8  # int64 columns, both formats
+_ITEMSIZE = 8  # int64 columns
 
 
 def _align8(n: int) -> int:
@@ -207,8 +198,8 @@ class CompiledProgram:
     and ``memoryview`` slices over a copy-on-write file mapping for
     programs loaded via :meth:`from_file` (``mapped`` is then true); both
     spellings expose identical indexing, length, and buffer protocols, so
-    every replay path (python per-point, fused batch, native C) works on
-    either.
+    every replay path (the canonical python engine and the native C
+    kernel) works on either.
 
     ``task_ops[k]`` / ``task_args[k]`` hold block ``k`` of the optional
     task table (empty lists for programs without one), in the same
@@ -224,7 +215,7 @@ class CompiledProgram:
 
     __slots__ = ("ops", "args", "task_ops", "task_args", "n_processors",
                  "line_size", "source_ops", "fused_work", "mapped", "_mm",
-                 "_runtime", "_tasks", "_batch")
+                 "_runtime", "_tasks")
 
     def __init__(self, ops: list, args: list, line_size: int,
                  source_ops: int, fused_work: bool, *,
@@ -255,10 +246,6 @@ class CompiledProgram:
         self._mm = mapping
         self._runtime = None
         self._tasks = None
-        #: batched-replay decode cache (:mod:`repro.sim.batch.columns`):
-        #: packed per-processor columns plus the static per-processor
-        #: counter totals, shared by every point of a batch group
-        self._batch = None
 
     def runtime_columns(self):
         """Indexable ``(ops, args)`` views for the per-point replay loop.
@@ -330,7 +317,7 @@ class CompiledProgram:
                 f"{kind})")
 
     # -------------------------------------------------------- serialization
-    def _header(self, crc: int, payload_offset: int | None = None) -> bytes:
+    def _header(self, crc: int, payload_offset: int) -> bytes:
         fields = {
             "n_processors": self.n_processors,
             "line_size": self.line_size,
@@ -338,41 +325,25 @@ class CompiledProgram:
             "fused_work": self.fused_work,
             "counts": [len(o) for o in self.ops],
             "itemsize": _ITEMSIZE,
-            "byteorder": "little" if payload_offset is not None
-            else sys.byteorder,
+            "byteorder": "little",
             "crc32": crc,
+            "payload_offset": payload_offset,
         }
-        if payload_offset is not None:
-            fields["payload_offset"] = payload_offset
         if self.task_ops:  # absent key: task-less blobs stay unchanged
             fields["task_counts"] = [len(o) for o in self.task_ops]
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
-    def to_bytes(self, *, version: int = 2) -> bytes:
-        """Binary encoding; ``version=2`` (default) is the mmappable form.
+    def to_bytes(self) -> bytes:
+        """Binary encoding: the mmappable ``RPROTRC2`` form.
 
-        * **v2** — magic, uint32-LE header length, JSON header, zero pad
-          to an 8-byte boundary, then the raw little-endian int64 columns
-          (per processor: ops then args).  Uncompressed and aligned so
-          :meth:`from_file` can map it and hand slices to the native
-          kernel without a copy.  A task table adds a ``task_counts``
-          header field and follows the processor columns in the payload
-          (per block: ops then args).
-        * **v1** — the legacy zlib-compressed encoding, kept for the
-          migration round-trip suite; it cannot carry a task table.
+        Magic, uint32-LE header length, JSON header, zero pad to an
+        8-byte boundary, then the raw little-endian int64 columns (per
+        processor: ops then args).  Uncompressed and aligned so
+        :meth:`from_file` can map it and hand slices to the native kernel
+        without a copy.  A task table adds a ``task_counts`` header field
+        and follows the processor columns in the payload (per block: ops
+        then args).
         """
-        if version == 1:
-            if self.task_ops:
-                raise ValueError("RPROTRC1 cannot encode a task table")
-            # legacy writer: native byte order, zlib-compressed
-            payload = b"".join(col.tobytes()
-                               for pair in zip(self.ops, self.args)
-                               for col in pair)
-            header = self._header(zlib.crc32(payload))
-            return (_MAGIC_V1 + len(header).to_bytes(4, "little") + header
-                    + zlib.compress(payload, 1))
-        if version != 2:
-            raise ValueError(f"unknown trace format version {version}")
         payload = b"".join(_le_bytes(col)
                            for pair in self._columns() for col in pair)
         crc = zlib.crc32(payload)
@@ -380,7 +351,7 @@ class CompiledProgram:
         # header length, so fix-point the (rarely iterating) computation
         offset = 0
         for _ in range(4):
-            header = self._header(crc, payload_offset=offset)
+            header = self._header(crc, offset)
             want = _align8(12 + len(header))
             if want == offset:
                 break
@@ -391,7 +362,7 @@ class CompiledProgram:
 
     @classmethod
     def _decode_header(cls, blob, lo: int = 0):
-        """Parse ``(header, payload_start)`` from either format's framing."""
+        """Parse ``(header, payload_start)`` from the blob's framing."""
         hlen = int.from_bytes(bytes(blob[lo + 8:lo + 12]), "little")
         if hlen <= 0 or lo + 12 + hlen > len(blob):
             raise TraceDecodeError("truncated header")
@@ -414,29 +385,22 @@ class CompiledProgram:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompiledProgram":
-        """Inverse of :meth:`to_bytes` — eager decode of either format.
+        """Inverse of :meth:`to_bytes` — eager decode.
 
-        Raises :class:`TraceDecodeError` on any corruption: bad magic,
-        truncation, malformed header, CRC mismatch, or an encoding written
-        by an incompatible platform (item size / byte order).
+        Raises :class:`TraceDecodeError` on any corruption: bad magic
+        (including blobs of a retired format), truncation, malformed
+        header, CRC mismatch, or an encoding written by an incompatible
+        platform (item size).
         """
         try:
-            magic = bytes(blob[:8])
-            if magic == _MAGIC_V1:
-                header, pos = cls._decode_header(blob)
-                if header["byteorder"] != sys.byteorder:
-                    raise TraceDecodeError("foreign byte order")
-                payload = zlib.decompress(blob[pos:])
-                swap = False
-            elif magic == _MAGIC:
-                header, pos = cls._decode_header(blob)
-                offset = header["payload_offset"]
-                if offset < pos:
-                    raise TraceDecodeError("payload overlaps header")
-                payload = bytes(blob[offset:])
-                swap = sys.byteorder != "little"
-            else:
+            if bytes(blob[:8]) != _MAGIC:
                 raise TraceDecodeError("bad magic")
+            header, pos = cls._decode_header(blob)
+            offset = header["payload_offset"]
+            if offset < pos:
+                raise TraceDecodeError("payload overlaps header")
+            payload = bytes(blob[offset:])
+            swap = sys.byteorder != "little"
             counts = header["counts"]
             task_counts = header.get("task_counts", [])
             if zlib.crc32(payload) != header["crc32"]:
@@ -473,8 +437,9 @@ class CompiledProgram:
         against the file size): a truncated blob fails here and degrades
         to a cache miss, while reading every payload byte to CRC it would
         defeat lazy paging — v2 relies on the store's atomic writes, like
-        every other consumer.  Legacy v1 blobs, big-endian hosts, and
-        ``mmap_ok=False`` fall back to an eager :meth:`from_bytes` decode.
+        every other consumer.  Blobs with any other magic, big-endian
+        hosts, and ``mmap_ok=False`` fall back to an eager
+        :meth:`from_bytes` decode (which rejects a foreign magic).
 
         Raises ``OSError`` if the file cannot be opened (a plain store
         miss) and :class:`TraceDecodeError` for anything wrong past that.
@@ -738,17 +703,6 @@ def _byte_budget() -> int:
         return _DEFAULT_LRU_BYTES
 
 
-def _entry_capacity() -> int | None:
-    """Deprecated entry-count cap; ``None`` when unset (the default)."""
-    raw = os.environ.get(ENV_TRACE_LRU)
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def _mmap_enabled() -> bool:
     return os.environ.get(ENV_TRACE_MMAP, "1") != "0"
 
@@ -778,7 +732,6 @@ def trace_cache_info() -> dict[str, Any]:
         "resident_bytes": _memory_lru_bytes,
         "payload_bytes": sum(p.nbytes for p in _memory_lru.values()),
         "budget_bytes": _byte_budget(),
-        "entry_capacity": _entry_capacity(),
     }
 
 
@@ -790,13 +743,12 @@ class TraceCache:
     study, its executor, and a process-pool worker all see each other's
     compilations.  It is bounded by a **byte budget**
     (:data:`ENV_TRACE_LRU_BYTES`, default 256 MiB of
-    :attr:`~CompiledProgram.resident_nbytes`; the deprecated
-    :data:`ENV_TRACE_LRU` entry cap still applies when set).  Tier 2 is
+    :attr:`~CompiledProgram.resident_nbytes`).  Tier 2 is
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
     invocations reuse traces.  Disk loads of current-format blobs are
     **memory-mapped** (zero-copy, ~0 resident cost; disable with
-    ``REPRO_TRACE_MMAP=0``); legacy blobs decode eagerly.
+    ``REPRO_TRACE_MMAP=0``).
 
     Instances are cheap and picklable (the LRU is module state, the store
     carries only a path), so executors ship them to pool workers as-is.
@@ -905,10 +857,7 @@ class TraceCache:
         _memory_lru[key] = program
         _memory_lru_bytes += program.resident_nbytes
         budget = _byte_budget()
-        capacity = _entry_capacity()
-        while len(_memory_lru) > 1 and (
-                _memory_lru_bytes > budget
-                or (capacity is not None and len(_memory_lru) > capacity)):
+        while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
             _, evicted = _memory_lru.popitem(last=False)
             _memory_lru_bytes -= evicted.resident_nbytes
 

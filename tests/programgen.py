@@ -1,0 +1,71 @@
+"""Random-program strategies shared by the replay property suites.
+
+A generated program is a phase table: ``table[pid][phase]`` is a list of
+atoms, and every processor ends every phase with the same barrier, so
+any table is deadlock-free by construction.  Atoms are private work,
+shared reads/writes over a small address window (to force sharing and
+invalidation traffic), or a lock-protected critical section (locks are
+always released by the acquirer, in order).
+"""
+
+from hypothesis import strategies as st
+
+from repro.core.config import MachineConfig
+from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
+
+_ADDR = st.integers(min_value=0, max_value=1023)
+_BASIC = st.one_of(
+    st.tuples(st.just("work"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("read"), _ADDR),
+    st.tuples(st.just("write"), _ADDR),
+)
+ATOM = st.one_of(
+    _BASIC,
+    st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
+              st.lists(_BASIC, max_size=4)),
+)
+
+#: per-processor cache sizes in KB: infinite / 4 lines / 16 lines
+CACHE_KB = st.sampled_from([None, 0.0625, 0.25])
+
+
+@st.composite
+def programs(draw):
+    """``(n_processors, phases, table)`` for :func:`factory_of`."""
+    n = draw(st.sampled_from([2, 4]))
+    phases = draw(st.integers(min_value=1, max_value=3))
+    table = [[draw(st.lists(ATOM, max_size=10)) for _ in range(phases)]
+             for _ in range(n)]
+    return n, phases, table
+
+
+def emit(atom):
+    """The ops of one atom."""
+    kind, arg = atom[0], atom[1]
+    if kind == "work":
+        yield Work(arg)
+    elif kind == "read":
+        yield Read(arg)
+    elif kind == "write":
+        yield Write(arg)
+    else:  # critical section
+        yield Lock(arg)
+        for basic in atom[2]:
+            yield from emit(basic)
+        yield Unlock(arg)
+
+
+def factory_of(phases, table):
+    """The program factory of a phase table."""
+    def factory(pid):
+        for phase in range(phases):
+            for atom in table[pid][phase]:
+                yield from emit(atom)
+            yield Barrier(phase)
+
+    return factory
+
+
+def machine(n, cluster, cache_kb):
+    return MachineConfig(n_processors=n, cluster_size=cluster,
+                         cache_kb_per_processor=cache_kb)

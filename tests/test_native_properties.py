@@ -1,11 +1,11 @@
 """Property suite for the native C replay kernel.
 
-The same adversarial-program generators as ``test_batch_properties``,
-now requiring three-way agreement: the C kernel must reproduce both the
-pure-python fused kernel and the canonical engine byte-for-byte — the
-RunResult JSON *and* the full memory-system end state (slot maps in
-dict order, free lists, histories, counters, allocator placement), so a
-kernel that computed the right numbers by a different path still fails.
+Adversarial random programs (``programgen``) replayed by the C kernel
+and by the canonical engine (``execute_program(..., compiled=True)``)
+must agree byte-for-byte — the RunResult JSON *and* the full
+memory-system end state (slot maps in dict order, free lists, histories,
+counters, allocator placement), so a kernel that computed the right
+numbers by a different path still fails.
 
 Every test that needs the compiled kernel skips cleanly when no C
 compiler is available (or the kernel is disabled in the environment);
@@ -22,14 +22,13 @@ import repro.native as native
 from repro.core.config import MachineConfig
 from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
-from repro.sim.batch import BatchedReplay, replay_fused
 from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
 from repro.sim.engine import SimulationDeadlock, execute_program
 from repro.sim.nativereplay import (native_fusible, replay_native,
                                     try_replay_native)
-from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
+from repro.sim.program import Barrier, Lock, Unlock, Work
 
-from test_batch_properties import _CACHES, _config, _factory_of, _programs
+from programgen import CACHE_KB, factory_of, machine, programs
 from test_runtime import CFG, TINY, golden_payload
 from test_taskqueue import task_program, task_programs
 
@@ -60,7 +59,7 @@ def _snapshot(memory):
     Includes iteration order everywhere order is observable (dict
     insertion order of slot maps and histories, free-list order), so the
     native writeback must leave the objects *indistinguishable* from the
-    python kernel's, not merely equal as sets.
+    canonical engine's, not merely equal as sets.
     """
     alloc = memory.allocator
     return {
@@ -85,42 +84,38 @@ def _snapshot(memory):
     }
 
 
-# --------------------------------------- native == fused == canonical
+# ------------------------------------------------- native == canonical
 
 @needs_kernel
 @settings(max_examples=50, deadline=None)
-@given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
-       cache_kb=_CACHES)
+@given(data=programs(), cluster_pick=st.integers(min_value=0, max_value=2),
+       cache_kb=CACHE_KB)
 def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
     n, phases, table = data
     cluster = [1, 2, n][cluster_pick]
-    config = _config(n, cluster, cache_kb)
-    program = compile_program(_factory_of(phases, table), n,
+    config = machine(n, cluster, cache_kb)
+    program = compile_program(factory_of(phases, table), n,
                               config.line_size)
 
-    reference = execute_program(config, CoherentMemorySystem(config),
-                                program, compiled=True)
-    mem_fused = CoherentMemorySystem(config)
-    fused = replay_fused(config, mem_fused, program)
-
+    mem_python = CoherentMemorySystem(config)
+    reference = execute_program(config, mem_python, program, compiled=True)
     mem_native = CoherentMemorySystem(config)
     assert native_fusible(mem_native)
     got = replay_native(config, mem_native, program, lib=_LIB)
 
     assert got.to_json() == reference.to_json()
-    assert got.to_json() == fused.to_json()
-    assert _snapshot(mem_native) == _snapshot(mem_fused)
+    assert _snapshot(mem_native) == _snapshot(mem_python)
 
 
 @needs_kernel
 @settings(max_examples=50, deadline=None)
 @given(data=task_programs(),
-       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=_CACHES)
+       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=CACHE_KB)
 def test_native_task_tables_match_python_replay(data, cluster_pick,
                                                 cache_kb):
     """GRAB in the C kernel: same grab order, same end state as python."""
     n, tasks, pre, post = data
-    config = _config(n, [1, 2, n][cluster_pick], cache_kb)
+    config = machine(n, [1, 2, n][cluster_pick], cache_kb)
     program = task_program(n, tasks, pre, post, config.line_size)
 
     mem_python = CoherentMemorySystem(config)
@@ -130,25 +125,6 @@ def test_native_task_tables_match_python_replay(data, cluster_pick,
 
     assert got.to_json() == reference.to_json()
     assert _snapshot(mem_native) == _snapshot(mem_python)
-
-
-@needs_kernel
-def test_batched_replay_dispatches_to_the_native_kernel(force_native):
-    def factory(pid):
-        yield Work(3)
-        yield Read(pid)
-        yield Write(pid + 64)
-        yield Barrier(0)
-
-    config = _config(4, 2, 0.0625)
-    program = compile_program(factory, 4, config.line_size)
-    reference = execute_program(config, CoherentMemorySystem(config),
-                                program, compiled=True)
-    batch = BatchedReplay(program)
-    got = batch.run(config, CoherentMemorySystem(config))
-    assert got.to_json() == reference.to_json()
-    assert batch.points_native == 1
-    assert batch.points_fused == 0
 
 
 # ------------------------------------------------ error-path parity
@@ -161,7 +137,7 @@ def test_deadlock_message_matches_canonical(force_native):
         else:
             yield Work(1)
 
-    config = _config(2, 1, None)
+    config = machine(2, 1, None)
     program = compile_program(factory, 2, config.line_size)
     with pytest.raises(SimulationDeadlock) as ref:
         execute_program(config, CoherentMemorySystem(config), program,
@@ -178,7 +154,7 @@ def test_deadlock_message_matches_canonical(force_native):
     (lambda pid: iter([Lock(0), Lock(0)]), RuntimeError),   # re-acquire
 ])
 def test_lock_errors_match_canonical(factory, exc):
-    config = _config(2, 1, None)
+    config = machine(2, 1, None)
     program = compile_program(factory, 2, config.line_size)
     with pytest.raises(exc) as ref:
         execute_program(config, CoherentMemorySystem(config), program,

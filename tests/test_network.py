@@ -20,7 +20,6 @@ import statistics
 import pytest
 
 from repro.core.config import (LatencyModel, MachineConfig, NetworkConfig)
-from repro.core.executor import PointSpec
 from repro.core.metrics import NetworkStats, RunResult
 from repro.core.study import ClusteringStudy
 from repro.network.contention import (UTILIZATION_CAP, ContentionModel)
@@ -28,6 +27,7 @@ from repro.network.latency import (MeshLatency, TableLatency,
                                    make_latency_provider)
 from repro.network.topology import (CrossbarTopology, MeshTopology,
                                     make_topology, mesh_dims)
+from repro.runtime import RunRequest
 
 MESH_OFF = NetworkConfig(provider="mesh", contention=False)
 OCEAN_KW = {"n": 16, "n_vcycles": 1}
@@ -398,13 +398,13 @@ class TestResultPlumbing:
 class TestContentionSweep:
     def test_point_spec_network_override(self):
         net = NetworkConfig(provider="mesh", background_load=0.5)
-        spec = PointSpec.make("ocean", 2, None, OCEAN_KW, network=net)
+        spec = RunRequest.make("ocean", 2, None, OCEAN_KW, network=net)
         config = spec.config_for(MachineConfig(n_processors=8))
         assert config.network == net
         assert "mesh net @ load 0.5" in spec.describe()
 
     def test_spec_without_network_inherits_base(self):
-        spec = PointSpec.make("ocean", 2, None)
+        spec = RunRequest.make("ocean", 2, None)
         base = MachineConfig(n_processors=8,
                              network=NetworkConfig(provider="mesh"))
         assert spec.config_for(base).network.provider == "mesh"

@@ -96,10 +96,11 @@ class TestProtocolRegistry:
         finally:
             register_protocol("dls", original)
 
-    def test_package_level_snoopy_alias_warns(self):
-        cfg = MachineConfig(n_processors=4, cluster_size=2)
-        with pytest.warns(DeprecationWarning, match="make_memory_system"):
-            memory_pkg.SnoopyClusterMemorySystem(cfg)
+    def test_package_level_snoopy_alias_is_gone(self):
+        # backends are selected through the registry; the concrete class
+        # is importable only from its module
+        assert not hasattr(memory_pkg, "SnoopyClusterMemorySystem")
+        assert "SnoopyClusterMemorySystem" not in memory_pkg.__all__
 
     def test_module_level_snoopy_class_stays_silent(self):
         cfg = MachineConfig(n_processors=4, cluster_size=2)
@@ -212,15 +213,15 @@ class TestNativeGate:
         assert try_replay_native(config, app=None, program=None) is None
 
     def test_fused_kernels_decline_non_directory_memory(self):
-        from repro.sim.batch.engine import fusible
         from repro.sim.nativereplay import native_fusible
 
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4.0)
-        assert not fusible(make_memory_system(cfg.with_protocol("dls")))
+        assert native_fusible(make_memory_system(cfg))
         assert not native_fusible(make_memory_system(
             cfg.with_protocol("dls")))
-        assert not fusible(make_memory_system(cfg.with_protocol("snoopy")))
+        assert not native_fusible(make_memory_system(
+            cfg.with_protocol("snoopy")))
 
 
 # ----------------------------------------------------- cache-key guards
@@ -260,13 +261,14 @@ class TestCacheKeyCollisionGuard:
 
     def test_result_cache_never_shares_entries_across_protocols(
             self, tmp_path):
-        from repro.core.executor import PointSpec, SweepExecutor
+        from repro.core.executor import SweepExecutor
+        from repro.runtime import RunRequest
 
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
         base = MachineConfig(n_processors=8)
-        spec_dir = PointSpec.make("ocean", 2, 4.0, TINY_OCEAN)
-        spec_dls = PointSpec.make("ocean", 2, 4.0, TINY_OCEAN,
+        spec_dir = RunRequest.make("ocean", 2, 4.0, TINY_OCEAN)
+        spec_dls = RunRequest.make("ocean", 2, 4.0, TINY_OCEAN,
                                   protocol="dls")
 
         first = executor.run_one(spec_dir, base)

@@ -48,18 +48,10 @@ class TestHealthAndStats:
             stats = client.stats()
         for field in ("requests", "points", "executed", "cache_hits",
                       "cache_hit_rate", "coalesced", "errors", "timeouts",
-                      "in_flight", "result_cache", "pool", "uptime_s",
-                      "batch"):
+                      "in_flight", "result_cache", "pool", "uptime_s"):
             assert field in stats, f"/stats missing {field}"
         assert stats["pool"]["backend"] == "serial"
         assert stats["result_cache"] is not None  # fixture attaches a cache
-        # the fixture daemon runs unbatched; the counters exist regardless
-        assert stats["batch"]["enabled"] is False
-        for counter in ("groups", "batched_points", "fallthrough_points",
-                        "fused_points", "fallback_points",
-                        "points_per_group"):
-            assert counter in stats["batch"], f"batch stats missing {counter}"
-        assert stats["batch"]["groups"] == 0
 
 
 class TestPointParity:
@@ -146,36 +138,6 @@ class TestSweepStreaming:
         # or hit the cache the first completion populated
         assert sum(1 for r in reports
                    if not (r.cached or r.coalesced)) <= 1
-
-
-class TestBatchedSweep:
-    """A ``--batch`` daemon serves byte-identical results and counts them."""
-
-    def test_batched_sweep_matches_direct_session_and_counts(self, tmp_path):
-        from repro.service import DaemonThread
-
-        daemon = DaemonThread(base_config=CFG, cache_dir=tmp_path,
-                              batch=True)
-        daemon.start()
-        try:
-            grid = [tiny_request("fft", clusters) for clusters in (1, 2, 4)]
-            with daemon.client() as client:
-                reports = client.run_sweep(grid)
-                stats = client.stats()
-        finally:
-            daemon.stop()
-        session = RunSession(base_config=CFG, trace_cache=TraceCache())
-        for request, report in zip(grid, reports):
-            assert report.result.to_json() == session.run(request).to_json()
-        batch = stats["batch"]
-        assert batch["enabled"] is True
-        assert batch["groups"] == 1
-        assert batch["batched_points"] == 3
-        assert batch["fused_points"] + batch["native_points"] == 3
-        assert batch["fallback_points"] == 0
-        # batch-primary joins are first deliveries, not coalesces
-        assert stats["coalesced"] == 0
-        assert stats["executed"] == 3
 
 
 class TestServeCLI:

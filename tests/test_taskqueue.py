@@ -11,7 +11,8 @@ to driving the generators, whose Python-side task counter is the oracle:
   native kernel, and memory-mapped programs.
 
 The random-table strategy and the factories built from it are shared
-with ``test_native_properties``.
+with ``test_native_properties``; the atom vocabulary comes from
+``programgen``.
 """
 
 import os
@@ -32,7 +33,7 @@ from repro.sim.engine import Engine, execute_program
 from repro.sim.nativereplay import native_fusible, replay_native
 from repro.sim.program import OP_GRAB, Lock, Read, Unlock, Work, Write
 
-from test_batch_properties import _ATOM, _CACHES, _config
+from programgen import ATOM, CACHE_KB, emit, machine
 
 # ------------------------------------------------------ random task tables
 #
@@ -49,26 +50,16 @@ QUEUE_ADDR = 2048
 def task_programs(draw):
     n = draw(st.sampled_from([2, 4]))
     n_tasks = draw(st.integers(min_value=0, max_value=9))
-    tasks = [draw(st.lists(_ATOM, max_size=6)) for _ in range(n_tasks)]
-    pre = [draw(st.lists(_ATOM, max_size=4)) for _ in range(n)]
-    post = [draw(st.lists(_ATOM, max_size=4)) for _ in range(n)]
+    tasks = [draw(st.lists(ATOM, max_size=6)) for _ in range(n_tasks)]
+    pre = [draw(st.lists(ATOM, max_size=4)) for _ in range(n)]
+    post = [draw(st.lists(ATOM, max_size=4)) for _ in range(n)]
     return n, tasks, pre, post
 
 
 def _emit(atoms):
-    """The ops of an atom list (the batch suite's atom vocabulary)."""
+    """The ops of an atom list."""
     for atom in atoms:
-        kind, arg = atom[0], atom[1]
-        if kind == "work":
-            yield Work(arg)
-        elif kind == "read":
-            yield Read(arg)
-        elif kind == "write":
-            yield Write(arg)
-        else:  # critical section
-            yield Lock(arg)
-            yield from _emit(atom[2])
-            yield Unlock(arg)
+        yield from emit(atom)
 
 
 def _take():
@@ -121,10 +112,10 @@ def task_program(n, tasks, pre, post, line_size, fuse_work=True):
 
 @settings(max_examples=60, deadline=None)
 @given(data=task_programs(),
-       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=_CACHES)
+       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=CACHE_KB)
 def test_grab_replay_matches_generator_oracle(data, cluster_pick, cache_kb):
     n, tasks, pre, post = data
-    config = _config(n, [1, 2, n][cluster_pick], cache_kb)
+    config = machine(n, [1, 2, n][cluster_pick], cache_kb)
     want = Engine(config, CoherentMemorySystem(config)).run(
         oracle_factory(tasks, pre, post)).to_json()
     # unfused, the capture is the generator's stream op for op plus the
@@ -143,7 +134,7 @@ def test_grab_replay_matches_generator_oracle(data, cluster_pick, cache_kb):
 # ----------------------------------------------------------- GRAB semantics
 
 def _queue_config(n=2):
-    return _config(n, 1, None)
+    return machine(n, 1, None)
 
 
 def test_grab_costs_zero_cycles_and_is_no_scheduling_point():
@@ -181,23 +172,6 @@ def test_counter_is_replay_state():
                             compiled=True).to_json() for _ in range(3)}
     assert len(runs) == 1
     assert program.to_bytes() == before
-
-
-def test_fused_batch_kernel_leaves_task_tables_to_other_replays(
-        python_kernels):
-    """The fused kernel refuses a task table; BatchedReplay routes it on."""
-    from repro.sim.batch import BatchedReplay, replay_fused
-
-    config = _queue_config()
-    program = task_program(2, [[("work", 4)], [("write", 8)]],
-                           [[], []], [[], []], config.line_size)
-    with pytest.raises(ValueError, match="task tables"):
-        replay_fused(config, CoherentMemorySystem(config), program)
-    want = execute_program(config, CoherentMemorySystem(config), program,
-                           compiled=True).to_json()
-    batch = BatchedReplay(program)
-    assert batch.run(config, CoherentMemorySystem(config)).to_json() == want
-    assert batch.points_fused == 0 and batch.points_fallback == 1
 
 
 # ---------------------------------------------------- the two real apps

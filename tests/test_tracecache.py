@@ -1,15 +1,19 @@
 """Trace keys and the two-tier (memory LRU + disk) compiled-trace cache."""
 
+import json
 import warnings
+import zlib
 
 import pytest
 
 from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
-from repro.core.executor import PointSpec, evaluate_point
+from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
-from repro.sim.compiled import (ENV_TRACE_LRU, TraceCache, clear_memory_cache,
-                                compile_program, memory_cache_len, trace_key)
+from repro.runtime import RunRequest
+from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
+                                clear_memory_cache, compile_program,
+                                memory_cache_len, trace_key)
 from repro.sim.program import OP_WORK
 
 
@@ -118,8 +122,43 @@ class TestTraceCache:
             warnings.simplefilter("error")
             assert cache.get("k") is not None
 
+    def test_retired_format_blob_is_a_miss_then_overwritten(self, tmp_path):
+        """A blob of the retired zlib format (magic ``RPROTRC`` + ``1``)
+        decodes to a warned miss; the next capture replaces it."""
+        program = tiny_program()
+        payload = b"".join(col.tobytes()
+                           for pair in zip(program.ops, program.args)
+                           for col in pair)
+        header = json.dumps({
+            "n_processors": program.n_processors,
+            "line_size": program.line_size,
+            "source_ops": program.source_ops,
+            "fused_work": program.fused_work,
+            "counts": [len(o) for o in program.ops], "itemsize": 8,
+            "byteorder": "little", "crc32": zlib.crc32(payload),
+        }, sort_keys=True).encode("utf-8")
+        blob = (b"RPROTRC" + b"1" + len(header).to_bytes(4, "little")
+                + header + zlib.compress(payload, 1))
+        store = TraceStore(tmp_path)
+        store.put_bytes("k", blob)
+        cache = TraceCache(store)
+        with pytest.warns(UserWarning,
+                          match="discarding corrupt compiled trace"):
+            assert cache.get("k") is None
+        assert cache.misses == 1
+        cache.put("k", program)
+        clear_memory_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = TraceCache(store).get("k")
+        assert got is not None
+        assert [list(o) for o in got.ops] == [list(o) for o in program.ops]
+        assert [list(a) for a in got.args] == [list(a) for a in program.args]
+
     def test_lru_capacity_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU, "2")
+        # a byte budget that holds exactly two of the (equal-size) programs
+        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
+                           str(2 * tiny_program().resident_nbytes))
         cache = TraceCache()
         for i in range(3):
             cache.put(f"k{i}", tiny_program())
@@ -128,7 +167,8 @@ class TestTraceCache:
         assert cache.get("k2") is not None  # newest survives
 
     def test_lru_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU, "2")
+        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
+                           str(2 * tiny_program().resident_nbytes))
         cache = TraceCache()
         cache.put("a", tiny_program())
         cache.put("b", tiny_program())
@@ -149,7 +189,7 @@ class TestExecutorIntegration:
     def test_invariant_app_reuses_trace_across_clusters(self):
         base = MachineConfig(cache_kb_per_processor=4.0)
         cache = TraceCache()
-        specs = [PointSpec.make("lu", cs, 4.0, KWARGS) for cs in (1, 2, 4)]
+        specs = [RunRequest.make("lu", cs, 4.0, KWARGS) for cs in (1, 2, 4)]
         results = [evaluate_point(s, base, trace_cache=cache) for s in specs]
         # one compile, then hits: the second and third points reuse it
         assert cache.memory_hits == 2 and cache.misses == 1
@@ -161,7 +201,7 @@ class TestExecutorIntegration:
     def test_dynamic_app_caches_per_config(self):
         base = MachineConfig(cache_kb_per_processor=4.0)
         cache = TraceCache()
-        spec = PointSpec.make("raytrace", 2, 4.0,
+        spec = RunRequest.make("raytrace", 2, 4.0,
                               {"width": 8, "height": 8, "n_spheres": 8})
         first = evaluate_point(spec, base, trace_cache=cache)
         assert cache.misses == 1
@@ -172,7 +212,7 @@ class TestExecutorIntegration:
     def test_disk_tier_spans_processes_conceptually(self, tmp_path):
         """A fresh process (simulated by clearing the LRU) hits the store."""
         base = MachineConfig(cache_kb_per_processor=4.0)
-        spec = PointSpec.make("lu", 2, 4.0, KWARGS)
+        spec = RunRequest.make("lu", 2, 4.0, KWARGS)
         store = TraceStore(tmp_path)
         first = evaluate_point(spec, base, trace_cache=TraceCache(store))
         clear_memory_cache()

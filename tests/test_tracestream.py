@@ -1,9 +1,9 @@
 """Streaming traces: the mmappable v2 format, chunked replay, byte budget.
 
 The contract of the out-of-core trace layer is that *where the columns
-live is unobservable*: a program decoded eagerly from the legacy zlib v1
-format, decoded eagerly from v2 bytes, or memory-mapped and consumed
-through chunked windows must replay to byte-identical results.  These
+live is unobservable*: a program decoded eagerly from v2 bytes or
+memory-mapped and consumed through chunked windows must replay to
+byte-identical results.  These
 tests pin that contract, the corruption-degrades-to-miss behaviour the
 cache relies on, and the byte-budget LRU accounting that makes mapped
 traces ~free to keep resident.
@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
-from repro.core.executor import PointSpec, evaluate_point
+from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
+from repro.runtime import RunRequest
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, ENV_TRACE_MMAP,
                                 CompiledProgram, TraceCache,
                                 TraceDecodeError, clear_memory_cache,
@@ -73,21 +74,19 @@ def column_sets(draw):
 
 
 class TestFormatRoundTrip:
-    """v1 (legacy zlib) and v2 (mmappable) encode/decode equivalence."""
+    """Eager and mapped decodes of the mmappable encoding."""
 
     @given(columns=column_sets())
     @settings(max_examples=40, deadline=None)
-    def test_v1_v2_decode_equal(self, columns):
+    def test_eager_decode_equal(self, columns):
         program = make_program(columns)
-        via_v1 = CompiledProgram.from_bytes(program.to_bytes(version=1))
-        via_v2 = CompiledProgram.from_bytes(program.to_bytes())
-        assert columns_of(via_v1) == columns_of(via_v2) == columns
-        for decoded in (via_v1, via_v2):
-            assert decoded.n_processors == program.n_processors
-            assert decoded.line_size == program.line_size
-            assert decoded.source_ops == program.source_ops
-            assert decoded.fused_work == program.fused_work
-            assert not decoded.mapped
+        decoded = CompiledProgram.from_bytes(program.to_bytes())
+        assert columns_of(decoded) == columns
+        assert decoded.n_processors == program.n_processors
+        assert decoded.line_size == program.line_size
+        assert decoded.source_ops == program.source_ops
+        assert decoded.fused_work == program.fused_work
+        assert not decoded.mapped
 
     @given(columns=column_sets())
     @settings(max_examples=20, deadline=None)
@@ -174,12 +173,6 @@ class TestTaskTables:
         blob = program.to_bytes()
         assert b"task_counts" not in blob
         assert hashlib.sha256(blob).hexdigest() == TASKLESS_SHA256
-
-    def test_v1_cannot_carry_a_task_table(self):
-        program = make_program([([OP_GRAB], [0])],
-                               tasks=[([OP_GRAB], [0])])
-        with pytest.raises(ValueError, match="task table"):
-            program.to_bytes(version=1)
 
     def _blob(self):
         return make_program([([1, OP_GRAB], [2, 0])],
@@ -272,7 +265,7 @@ class TestReplayIdentity:
     def test_mapped_vs_materialized(self, name, tmp_path, monkeypatch):
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
-        spec = PointSpec.make(name, 2, 4.0, dict(TINY_SIZES[name]))
+        spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
         store = TraceStore(tmp_path)
 
         monkeypatch.setenv(ENV_TRACE_MMAP, "0")
@@ -299,7 +292,7 @@ class TestReplayIdentity:
         """The first (capture) pass and a later mapped pass agree."""
         monkeypatch.setenv(ENV_TRACE_MMAP, "1")
         cfg = MachineConfig(n_processors=4, cluster_size=2)
-        spec = PointSpec.make("lu", 2, None, dict(TINY_SIZES["lu"]))
+        spec = RunRequest.make("lu", 2, None, dict(TINY_SIZES["lu"]))
         store = TraceStore(tmp_path)
         clear_memory_cache()
         first = evaluate_point(spec, cfg, trace_cache=TraceCache(store))
@@ -359,18 +352,6 @@ class TestByteBudget:
         assert info["mapped_entries"] == 1
         assert info["resident_bytes"] < 64 * 1024
         assert info["payload_bytes"] >= program.resident_nbytes
-        clear_memory_cache()
-
-    def test_legacy_entry_count_knob_still_respected(self, cfg4,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_LRU", "1")
-        monkeypatch.delenv(ENV_TRACE_LRU_BYTES, raising=False)
-        clear_memory_cache()
-        cache = TraceCache()
-        for name, program in self._programs(cfg4).items():
-            cache.put(trace_key(name, TINY_SIZES[name], cfg4, 12345),
-                      program)
-        assert trace_cache_info()["entries"] == 1
         clear_memory_cache()
 
 

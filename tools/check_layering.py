@@ -10,17 +10,10 @@ pipeline"):
           -> sim
             -> apps
               -> runtime
-                -> sim.batch (batched lockstep replay over the runtime)
-                  -> core (sweep machinery: executor, study, bench, ...)
-                    -> service (the sweep daemon)
-                      -> analysis
-                        -> cli
-
-``repro.sim.batch`` is the one sub-package ranked above its parent: its
-planner speaks ``runtime.plan`` requests and its runner drives the
-``runtime.session`` pipeline, so it sits between the runtime and the
-sweep machinery that dispatches batches (longest-prefix matching keeps
-the rest of ``repro.sim`` at the sim rank).
+                -> core (sweep machinery: executor, study, bench, ...)
+                  -> service (the sweep daemon)
+                    -> analysis
+                      -> cli
 
 An import is *upward* — and a violation — when the imported module's
 layer rank is greater than the importer's.  Ranks are assigned by the
@@ -59,12 +52,11 @@ RANKS: dict[str, int] = {
     "repro.sim": 3,
     "repro.apps": 4,
     "repro.runtime": 5,
-    "repro.sim.batch": 6,  # batched replay: drives runtime sessions
-    "repro.core": 7,
-    "repro.service": 8,
-    "repro.analysis": 9,
-    "repro.cli": 10,
-    "repro": 11,  # the package facade re-exports everything below it
+    "repro.core": 6,
+    "repro.service": 7,
+    "repro.analysis": 8,
+    "repro.cli": 9,
+    "repro": 10,  # the package facade re-exports everything below it
 }
 
 
