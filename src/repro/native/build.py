@@ -32,7 +32,7 @@ __all__ = ["ABI_VERSION", "BuildError", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -146,6 +146,7 @@ def load() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64,                   # lpp, rr_next
         p, p, ctypes.c_int64,                             # page_home, n_ph
         p, p, p, p,                   # finish, breakdowns, exec_time, err
+        ctypes.c_int64,                                   # export_private
         ctypes.POINTER(p), p,                             # blob, blob_len
     ]
     lib.repro_release.restype = None

@@ -2,21 +2,31 @@
 
 The kernel (:mod:`repro.native.build` compiles ``kernel.c``) runs the
 entire replay in a single call over zero-copy views of the
-program's ``array('q')`` opcode/operand columns and returns the full
-observable end state in one int64 blob.  :func:`run_native` writes that
-state back **in place** into the live :class:`CoherentMemorySystem`
-objects — slot maps rebuilt in exact LRU/dict order, columns extended
-with the cache's own growth schedule, counters accumulated — so the
-memory system afterwards is indistinguishable from one the canonical
-python engine (:meth:`~repro.sim.engine.Engine.run_compiled`) drove, and
-the caller can assemble the identical
-:class:`~repro.core.metrics.RunResult`.
+program's ``array('q')`` opcode/operand columns and returns its end
+state in one int64 blob, in two parts:
+
+* the *visible* state, always: allocator first touches and round-robin
+  cursor (the allocator is the application's and outlives the replay),
+  the per-cluster counters the :class:`~repro.core.metrics.RunResult`
+  is assembled from, and on deadlock the sync registry;
+* the *private* state, only with ``export_private``: the directory
+  table and counters, every resident cache line in LRU order, free
+  lists, evictions/inserts and the miss histories.
+
+:func:`run_native` writes what it received back **in place** into the
+live :class:`CoherentMemorySystem` objects — slot maps rebuilt in exact
+LRU/dict order, columns extended with the cache's own growth schedule,
+counters accumulated.  With the private state the memory system
+afterwards is indistinguishable from one the canonical python engine
+(:meth:`~repro.sim.engine.Engine.run_compiled`) drove; without it only
+its counters and allocator are, which is all the caller needs to
+assemble the identical result from a memory system it then discards.
 
 Error statuses map to the exact exceptions (type and message) the
-canonical engine raises; deadlock (status 1) writes the state back and
-raises :class:`NativeDeadlock` carrying the finish times and sync
-registry snapshot so the sim layer can produce the canonical
-``SimulationDeadlock`` message.
+canonical engine raises; deadlock (status 1) writes the state back
+(visible, and private on request) and raises :class:`NativeDeadlock`
+carrying the finish times and sync registry snapshot so the sim layer
+can produce the canonical ``SimulationDeadlock`` message.
 """
 
 from __future__ import annotations
@@ -84,13 +94,17 @@ def _columns(ops_cols, args_cols):
 
 
 def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
-               program) -> tuple[int, list[TimeBreakdown]]:
+               program, *, export_private: bool,
+               ) -> tuple[int, list[TimeBreakdown]]:
     """Replay ``program`` on ``memory`` natively; return (time, breakdowns).
 
     ``memory`` must be fresh and flat (the ``native_fusible`` gate in
-    :mod:`repro.sim.nativereplay` guarantees it).  Mutates ``memory``
-    and its allocator in place to the exact end state the canonical
-    python engine would leave.
+    :mod:`repro.sim.nativereplay` guarantees it).  Always writes the
+    visible state back: ``memory``'s counters and its allocator's first
+    touches.  With ``export_private`` it also writes the directory, the
+    caches and the miss histories, so ``memory`` ends in the exact state
+    the canonical python engine would leave; without it they stay at
+    their fresh state, for a caller that discards ``memory``.
     """
     n = config.n_processors
     ncl = config.n_clusters
@@ -127,7 +141,7 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
         memory._lines_per_page, alloc._rr_next,
         pages, homes, len(ph),
         finish_a, bd, ctypes.byref(exec_time), err,
-        ctypes.byref(blob_p), ctypes.byref(blob_len))
+        int(export_private), ctypes.byref(blob_p), ctypes.byref(blob_len))
 
     if st < 0:
         # no state was exported; mirror the python kernel's exceptions
@@ -146,7 +160,12 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
 
     data = blob_p[0:blob_len.value]
     lib.repro_release(blob_p)
-    barriers, locks = _writeback(memory, ncl, data)
+    i = _write_visible(memory, data)
+    barriers = locks = None
+    if st == 1:
+        barriers, locks, i = _read_registry(data, i)
+    if export_private:
+        _write_private(memory, ncl, data, i)
 
     breakdowns = [TimeBreakdown(cpu=bd[4 * p], load=bd[4 * p + 1],
                                 merge=bd[4 * p + 2], sync=bd[4 * p + 3])
@@ -158,8 +177,13 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
     return exec_time.value, breakdowns
 
 
-def _writeback(memory, ncl: int, data: list) -> tuple[list, list]:
-    """Apply the kernel's end-state blob to the live memory objects."""
+def _write_visible(memory, data: list) -> int:
+    """Apply the always-exported section; returns the next blob index.
+
+    That is the allocator's first touches and round-robin cursor (the
+    allocator belongs to the application and outlives the replay) and
+    the per-cluster counters the result is assembled from.
+    """
     alloc = memory.allocator
     i = 2
     rr_next, n_ft = data[0], data[1]
@@ -170,20 +194,7 @@ def _writeback(memory, ncl: int, data: list) -> tuple[list, list]:
     alloc.first_touch_pages += n_ft
     alloc._rr_next = rr_next
 
-    directory = memory.directory
-    directory.invalidations_sent += data[i]
-    directory.replacement_hints += data[i + 1]
-    directory.writebacks += data[i + 2]
-    n_dir = data[i + 3]
-    i += 4
-    dtable = memory._dtable
-    for _ in range(n_dir):
-        line, dstate, mask = data[i], data[i + 1], data[i + 2]
-        i += 3
-        dtable[line] = ((mask & _M64) << 2) | dstate
-
-    for cl in range(ncl):
-        ctr = memory.counters[cl]
+    for ctr in memory.counters:
         (n_reads, n_writes, rm, wm, um, mg, mrf, pf,
          n_cold, n_cap, n_coh) = data[i:i + 11]
         i += 11
@@ -199,7 +210,50 @@ def _writeback(memory, ncl: int, data: list) -> tuple[list, list]:
         by_cause[MissCause.COLD] += n_cold
         by_cause[MissCause.CAPACITY] += n_cap
         by_cause[MissCause.COHERENCE] += n_coh
+    return i
 
+
+def _read_registry(data: list, i: int) -> tuple[list, list, int]:
+    """Decode the sync registry a deadlocked replay exports."""
+    barriers = []
+    n_bar = data[i]
+    i += 1
+    for _ in range(n_bar):
+        bid, episodes, n_wait = data[i:i + 3]
+        i += 3
+        waiting = [(data[i + 2 * k], data[i + 2 * k + 1])
+                   for k in range(n_wait)]
+        i += 2 * n_wait
+        barriers.append((bid, episodes, waiting))
+    locks = []
+    n_lk = data[i]
+    i += 1
+    for _ in range(n_lk):
+        lid, holder, acq, cont, n_wait = data[i:i + 5]
+        i += 5
+        waiting = [(data[i + 2 * k], data[i + 2 * k + 1])
+                   for k in range(n_wait)]
+        i += 2 * n_wait
+        locks.append((lid, None if holder < 0 else holder, acq, cont,
+                      waiting))
+    return barriers, locks, i
+
+
+def _write_private(memory, ncl: int, data: list, i: int) -> None:
+    """Apply the on-request section: directory, caches and histories."""
+    directory = memory.directory
+    directory.invalidations_sent += data[i]
+    directory.replacement_hints += data[i + 1]
+    directory.writebacks += data[i + 2]
+    n_dir = data[i + 3]
+    i += 4
+    dtable = memory._dtable
+    for _ in range(n_dir):
+        line, dstate, mask = data[i], data[i + 1], data[i + 2]
+        i += 3
+        dtable[line] = ((mask & _M64) << 2) | dstate
+
+    for cl in range(ncl):
         cache = memory.caches[cl]
         evictions, inserts, n_slots, n_res, n_free = data[i:i + 5]
         i += 5
@@ -237,26 +291,3 @@ def _writeback(memory, ncl: int, data: list) -> tuple[list, list]:
         for _ in range(n_hist):
             hist[data[i]] = _CAUSES[data[i + 1]]
             i += 2
-
-    barriers = []
-    n_bar = data[i]
-    i += 1
-    for _ in range(n_bar):
-        bid, episodes, n_wait = data[i:i + 3]
-        i += 3
-        waiting = [(data[i + 2 * k], data[i + 2 * k + 1])
-                   for k in range(n_wait)]
-        i += 2 * n_wait
-        barriers.append((bid, episodes, waiting))
-    locks = []
-    n_lk = data[i]
-    i += 1
-    for _ in range(n_lk):
-        lid, holder, acq, cont, n_wait = data[i:i + 5]
-        i += 5
-        waiting = [(data[i + 2 * k], data[i + 2 * k + 1])
-                   for k in range(n_wait)]
-        i += 2 * n_wait
-        locks.append((lid, None if holder < 0 else holder, acq, cont,
-                      waiting))
-    return barriers, locks

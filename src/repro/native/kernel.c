@@ -2,14 +2,21 @@
  * repro.sim.engine.Engine.run_compiled.
  *
  * One call replays one compiled program against one (fresh) flat-latency
- * CoherentMemorySystem configuration and returns every observable side
- * effect: finish times, per-processor time breakdowns, execution time,
- * and a single int64 blob holding the full end state (directory table,
- * per-cluster cache columns in exact LRU order, free lists, miss
- * histories, counters, allocator first touches, sync registry).  The
- * Python driver (repro.native.driver) writes the blob back into the
- * live objects, so the result is byte-identical to the canonical
- * python engine — which remains the reference.
+ * CoherentMemorySystem configuration and returns finish times,
+ * per-processor time breakdowns, execution time, and one int64 blob.
+ * The blob always holds the *visible* state, the part a caller can
+ * observe after the run: allocator first touches and rr_next (they
+ * mutate the application's own allocator), the per-cluster counters the
+ * RunResult is assembled from, and -- on deadlock only -- the sync
+ * registry the canonical deadlock message is built from.  The *private*
+ * end state (directory table and counters, per-cluster cache columns in
+ * exact LRU order, free lists, evictions/inserts, miss histories) is
+ * exported only when export_private is set; without it the kernel also
+ * skips the dict-order insertion logs, which exist only to order that
+ * export.  The Python driver
+ * (repro.native.driver) writes the blob back into the live objects, so
+ * the result is byte-identical to the canonical python engine -- which
+ * remains the reference.
  *
  * Equivalences relied on (proved against the canonical engine, pinned by
  * tests/test_native_properties.py):
@@ -48,7 +55,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 2
+#define ABI 3
 
 #define ST_OK 0
 #define ST_DEADLOCK 1
@@ -438,10 +445,12 @@ static int buf_push(Buf *b, int64_t x) {
  * dict iteration order — for insert-only maps a forward scan; for maps
  * with deletes (the directory), a backward scan keeping the latest
  * occurrence of each live key, then reversed, since a del + reinsert
- * moves a python-dict key to the end. */
+ * moves a python-dict key to the end.  A NULL log (no private export)
+ * makes this a plain map_put. */
 static int map_put_ordered(Map *m, Buf *log, int64_t k, int64_t a,
                            int64_t b) {
-    if (!map_get(m, k, NULL, NULL) && buf_push(log, k)) return ST_NOMEM;
+    if (log && !map_get(m, k, NULL, NULL) && buf_push(log, k))
+        return ST_NOMEM;
     return map_put(m, k, a, b);
 }
 
@@ -456,6 +465,7 @@ static int map_put_ordered(Map *m, Buf *log, int64_t k, int64_t a,
 typedef struct {
     int64_t n, ncl, csize, cap, lpp, rr_next;
     int touch;
+    int export_private; /* export the private end state (see header) */
     int64_t l_lc, l_rc, l_ldr, l_rd3;
     Cache *ca;  /* ncl */
     Map dir;    /* line -> (state, mask) */
@@ -483,6 +493,15 @@ static int ft_push(Ctx *x, int64_t page, int64_t home) {
     x->ft[x->ft_n * 2 + 1] = home;
     x->ft_n++;
     return 0;
+}
+
+/* The insertion logs map_put_ordered appends to: NULL when the private
+ * state is not exported, since they only order that export. */
+static inline Buf *dir_log(Ctx *x) {
+    return x->export_private ? &x->dir_log : NULL;
+}
+static inline Buf *hist_log(Ctx *x, int cl) {
+    return x->export_private ? &x->hist_log[cl] : NULL;
 }
 
 /* Per-line home with the kernel's memo; binds the page on first touch
@@ -548,7 +567,7 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
         if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
         lru_push_tail(c, slot);
         c->inserts++;
-        if (map_put_ordered(&x->hist[cl], &x->hist_log[cl], vline,
+        if (map_put_ordered(&x->hist[cl], hist_log(x, cl), vline,
                             1 /*CAPACITY*/, 0))
             return ST_NOMEM;
         int rc = retire(x, cl, vline, vstate);
@@ -582,7 +601,7 @@ static int invalidate(Ctx *x, uint64_t bits, int64_t line) {
         if (map_del(&c->slot_of, line, &s2)) {
             if (cache_free_push(c, s2)) return ST_NOMEM;
             lru_unlink(c, s2);
-            if (map_put_ordered(&x->hist[vcl], &x->hist_log[vcl], line,
+            if (map_put_ordered(&x->hist[vcl], hist_log(x, vcl), line,
                                 2 /*COHERENCE*/, 0))
                 return ST_NOMEM;
         }
@@ -610,12 +629,12 @@ static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
         Cache *oc = &x->ca[owner];
         int64_t s;
         if (map_get(&oc->slot_of, line, &s, NULL)) oc->state[s] = 1;
-        if (map_put_ordered(&x->dir, &x->dir_log, line, 1,
+        if (map_put_ordered(&x->dir, dir_log(x), line, 1,
                             dm | (int64_t)(1ULL << cl)))
             return ST_NOMEM;
     } else {
         stall = (cl == home) ? x->l_lc : x->l_rc;
-        if (map_put_ordered(&x->dir, &x->dir_log, line, 1,
+        if (map_put_ordered(&x->dir, dir_log(x), line, 1,
                             dm | (int64_t)(1ULL << cl)))
             return ST_NOMEM;
     }
@@ -653,7 +672,7 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
         if (rc) return rc;
     }
     x->inv_sent += popcount64(others);
-    if (map_put_ordered(&x->dir, &x->dir_log, line, 2,
+    if (map_put_ordered(&x->dir, dir_log(x), line, 2,
                         (int64_t)(1ULL << cl)))
         return ST_NOMEM;
     rc = install(x, cl, pid, line, t + latency, 2);
@@ -760,6 +779,7 @@ EXPORT int64_t repro_replay(
     int64_t *bd,         /* out: 4n (cpu, load, merge, sync) */
     int64_t *exec_time,  /* out: 1 */
     int64_t *err,        /* out: 2 (pid / holder for lock errors) */
+    int64_t export_private, /* 1: also export the private end state */
     int64_t **blob_out, int64_t *blob_len_out) {
     int64_t st = ST_OK;
     Ctx x;
@@ -790,6 +810,7 @@ EXPORT int64_t repro_replay(
     x.csize = csize;
     x.cap = cap;
     x.touch = cap >= 0;
+    x.export_private = export_private != 0;
     x.lpp = lpp;
     x.rr_next = rr_next;
     x.l_lc = l_lc;
@@ -976,7 +997,7 @@ EXPORT int64_t repro_replay(
                                 }
                                 x.inv_sent += popcount64(others);
                             }
-                            if (map_put_ordered(&x.dir, &x.dir_log, arg, 2,
+                            if (map_put_ordered(&x.dir, dir_log(&x), arg, 2,
                                                 (int64_t)(1ULL << cl))) {
                                 st = ST_NOMEM;
                                 goto done;
@@ -1132,7 +1153,9 @@ EXPORT int64_t repro_replay(
         for (int64_t p = 0; p < n; p++) bd[4 * p + 3] += mx - finish[p];
     }
 
-    /* ---- export end state (layout mirrored in repro.native.driver) */
+    /* ---- export (layout mirrored in repro.native.driver): the visible
+     * state, then the sync registry on deadlock, then -- on request --
+     * the private end state */
     {
         int rc = 0;
 #define PUSH(v)                                                            \
@@ -1142,6 +1165,34 @@ EXPORT int64_t repro_replay(
         PUSH(x.rr_next);
         PUSH(x.ft_n);
         for (int64_t i = 0; i < x.ft_n * 2; i++) PUSH(x.ft[i]);
+        for (int64_t i = 0; i < ncl * NCTR; i++) PUSH(x.ctr[i]);
+        if (st == ST_DEADLOCK) {
+            PUSH(bars.n);
+            for (int64_t i = 0; i < bars.n; i++) {
+                Barrier *b = &bars.v[i];
+                PUSH(b->id);
+                PUSH(b->episodes);
+                PUSH(b->n_wait);
+                for (int64_t w = 0; w < b->n_wait; w++) {
+                    PUSH(b->wpid[w]);
+                    PUSH(b->warr[w]);
+                }
+            }
+            PUSH(locks.n);
+            for (int64_t i = 0; i < locks.n; i++) {
+                Lock *lk = &locks.v[i];
+                PUSH(lk->id);
+                PUSH(lk->holder);
+                PUSH(lk->acq);
+                PUSH(lk->cont);
+                PUSH(lk->qn);
+                for (int64_t w = 0; w < lk->qn; w++) {
+                    PUSH(lk->qpid[(lk->qh + w) % lk->qcap]);
+                    PUSH(lk->qarr[(lk->qh + w) % lk->qcap]);
+                }
+            }
+        }
+        if (!x.export_private) goto export_done;
         PUSH(x.inv_sent);
         PUSH(x.repl_hints);
         PUSH(x.writebacks);
@@ -1176,8 +1227,6 @@ EXPORT int64_t repro_replay(
         }
         for (int64_t clx = 0; clx < ncl; clx++) {
             Cache *c = &x.ca[clx];
-            for (int k = 0; k < NCTR; k++)
-                PUSH(x.ctr[(size_t)clx * NCTR + k]);
             PUSH(c->evictions);
             PUSH(c->inserts);
             PUSH(c->n_slots);
@@ -1201,30 +1250,6 @@ EXPORT int64_t repro_replay(
                 map_get(&x.hist[clx], k, &cause, NULL);
                 PUSH(k);
                 PUSH(cause);
-            }
-        }
-        PUSH(bars.n);
-        for (int64_t i = 0; i < bars.n; i++) {
-            Barrier *b = &bars.v[i];
-            PUSH(b->id);
-            PUSH(b->episodes);
-            PUSH(b->n_wait);
-            for (int64_t w = 0; w < b->n_wait; w++) {
-                PUSH(b->wpid[w]);
-                PUSH(b->warr[w]);
-            }
-        }
-        PUSH(locks.n);
-        for (int64_t i = 0; i < locks.n; i++) {
-            Lock *lk = &locks.v[i];
-            PUSH(lk->id);
-            PUSH(lk->holder);
-            PUSH(lk->acq);
-            PUSH(lk->cont);
-            PUSH(lk->qn);
-            for (int64_t w = 0; w < lk->qn; w++) {
-                PUSH(lk->qpid[(lk->qh + w) % lk->qcap]);
-                PUSH(lk->qarr[(lk->qh + w) % lk->qcap]);
             }
         }
 #undef PUSH

@@ -10,6 +10,15 @@ live memory objects, and the canonical
 :class:`~repro.sim.stats.StatsAssembler` builds the result from those
 objects exactly as every other path does.
 
+Which end state comes back follows from who owns the memory system.
+:func:`replay_native` mutates a memory system its caller keeps, so it
+asks for everything — directory, caches in LRU order, histories — and
+leaves the objects indistinguishable from the canonical engine's.
+:func:`try_replay_native`, the per-point seam of every sweep, builds a
+private memory system and discards it, so it takes only the *visible*
+state: the per-cluster counters the result is assembled from and the
+first touches on the application's allocator, which outlives the call.
+
 :func:`native_fusible` is deliberately conservative: an exact
 :class:`CoherentMemorySystem` with fully-associative kernel tuples, flat
 latencies only (the mesh provider is stateful python), at most 64
@@ -81,7 +90,9 @@ def replay_native(config: "MachineConfig", memory: CoherentMemorySystem,
     """Replay ``program`` against ``memory`` with the C kernel.
 
     Byte-identical to ``execute_program(..., compiled=True)`` whenever
-    :func:`native_fusible(memory)` holds; callers gate on it.
+    :func:`native_fusible(memory)` holds; callers gate on it.  The
+    caller keeps ``memory``, so the kernel exports its full end state
+    and ``memory`` ends exactly as the canonical engine would leave it.
     """
     if lib is None:
         lib = native.kernel()
@@ -96,8 +107,17 @@ def replay_native(config: "MachineConfig", memory: CoherentMemorySystem,
         raise ValueError(
             f"compiled program captured at line size "
             f"{program.line_size}, machine uses {config.line_size}")
+    return _replay(config, memory, program, lib, export_private=True)
+
+
+def _replay(config: "MachineConfig", memory: CoherentMemorySystem,
+            program: "CompiledProgram", lib, export_private: bool,
+            ) -> RunResult:
+    """Run the kernel, map a deadlock to the canonical error, assemble."""
+    n = config.n_processors
     try:
-        execution_time, breakdowns = run_native(lib, config, memory, program)
+        execution_time, breakdowns = run_native(
+            lib, config, memory, program, export_private=export_private)
     except NativeDeadlock as nd:
         # reconstruct the canonical deadlock message through the real
         # SyncRegistry (creation order preserved by the kernel's export)
@@ -128,7 +148,9 @@ def try_replay_native(config: "MachineConfig", app,
     gates on :func:`native_fusible`, and leaves every ineligible case
     (python selected, mesh latencies, non-directory protocol, mismatched
     program) to the canonical path — including its exact validation
-    errors.
+    errors.  The memory system is private to this call and discarded,
+    so the kernel exports only the visible state: the counters the
+    result is built from and the first touches on ``app.allocator``.
     """
     if config.protocol not in NATIVE_PROTOCOLS:
         # the C kernel implements the directory protocol only; other
@@ -144,4 +166,4 @@ def try_replay_native(config: "MachineConfig", app,
     memory = CoherentMemorySystem(config, app.allocator)
     if not native_fusible(memory):
         return None
-    return replay_native(config, memory, program, lib=lib)
+    return _replay(config, memory, program, lib, export_private=False)

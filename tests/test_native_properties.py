@@ -7,6 +7,11 @@ memory-system end state (slot maps in dict order, free lists, histories,
 counters, allocator placement), so a kernel that computed the right
 numbers by a different path still fails.
 
+The sweep seam (``try_replay_native``) asks the kernel for the visible
+state only — counters and allocator first touches — since it discards
+its memory system; its results, errors and allocator end state are
+pinned to both the full-export path and the canonical engine.
+
 Every test that needs the compiled kernel skips cleanly when no C
 compiler is available (or the kernel is disabled in the environment);
 the selection-semantics tests run everywhere, compiler or not.
@@ -19,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.native as native
+from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
+from repro.memory.allocation import PageAllocator
 from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
@@ -195,6 +202,145 @@ class TestGoldenNative:
         reference = build_app("ocean", config, **TINY["ocean"]).run(
             program=program)
         assert result.to_json() == reference.to_json()
+
+
+# ------------------------------------------ result-only sweep seam
+
+def _allocator(config):
+    return PageAllocator(config.n_clusters, config.page_size,
+                         config.line_size)
+
+
+class _Owner:
+    """The part of an application ``try_replay_native`` uses."""
+
+    def __init__(self, config):
+        self.allocator = _allocator(config)
+
+    def ensure_setup(self):
+        pass
+
+
+def _allocation(alloc):
+    return (list(alloc._page_home.items()), alloc._rr_next,
+            alloc.first_touch_pages)
+
+
+def _outcome(run, alloc):
+    """A replay's result JSON, or its error; the allocator it leaves."""
+    try:
+        result = run()
+    except RuntimeError as exc:  # deadlock and lock errors
+        return type(exc), str(exc), _allocation(alloc)
+    assert result is not None, "native seam declined an eligible point"
+    return "ok", result.to_json(), _allocation(alloc)
+
+
+def _assert_three_paths_agree(config, program, rounds=2):
+    """Canonical, full-export and result-only replays agree, run after
+    run on one allocator each (the allocator outlives every replay)."""
+    canonical, full, owner = (_allocator(config), _allocator(config),
+                              _Owner(config))
+    outcomes = []
+    for _ in range(rounds):
+        want = _outcome(lambda: execute_program(
+            config, CoherentMemorySystem(config, canonical), program,
+            compiled=True), canonical)
+        got_full = _outcome(lambda: replay_native(
+            config, CoherentMemorySystem(config, full), program, lib=_LIB),
+            full)
+        got = _outcome(lambda: try_replay_native(config, owner, program),
+                       owner.allocator)
+        if want[0] is SimulationDeadlock or want[0] == "ok":
+            assert got == got_full == want
+        else:  # python stopped mid-run; the kernel exports nothing
+            assert got[:2] == got_full[:2] == want[:2]
+        outcomes.append(want)
+    return outcomes
+
+
+@needs_kernel
+@settings(max_examples=50, deadline=None)
+@given(data=programs(), cluster_pick=st.integers(min_value=0, max_value=2),
+       cache_kb=CACHE_KB)
+def test_result_only_matches_full_export_and_canonical(data, cluster_pick,
+                                                       cache_kb):
+    n, phases, table = data
+    config = machine(n, [1, 2, n][cluster_pick], cache_kb)
+    program = compile_program(factory_of(phases, table), n,
+                              config.line_size)
+    for kind, *_ in _assert_three_paths_agree(config, program):
+        assert kind == "ok"
+
+
+@needs_kernel
+@settings(max_examples=50, deadline=None)
+@given(data=task_programs(),
+       cluster_pick=st.integers(min_value=0, max_value=2), cache_kb=CACHE_KB)
+def test_result_only_task_tables_match(data, cluster_pick, cache_kb):
+    n, tasks, pre, post = data
+    config = machine(n, [1, 2, n][cluster_pick], cache_kb)
+    program = task_program(n, tasks, pre, post, config.line_size)
+    _assert_three_paths_agree(config, program)
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(data=programs(), victim_pick=st.integers(min_value=0, max_value=3),
+       hold_lock=st.booleans(), cache_kb=CACHE_KB)
+def test_result_only_deadlocks_match(data, victim_pick, hold_lock, cache_kb):
+    """A processor that skips the last barrier always deadlocks the rest;
+    one that finishes holding a lock the others take later may."""
+    n, phases, table = data
+    victim = victim_pick % n
+    base = factory_of(phases, table)
+
+    def factory(pid):
+        ops = list(base(pid))
+        if hold_lock:
+            ops += [Lock(7)] if pid == victim else [Lock(7), Unlock(7)]
+        elif pid == victim:
+            ops.pop()  # its final Barrier
+        yield from ops
+
+    config = machine(n, 2, cache_kb)
+    program = compile_program(factory, n, config.line_size)
+    outcomes = _assert_three_paths_agree(config, program)
+    if not hold_lock:
+        assert all(kind is SimulationDeadlock for kind, *_ in outcomes)
+
+
+@needs_kernel
+@pytest.mark.parametrize("factory", [
+    lambda pid: iter([Unlock(0)]),          # bad release
+    lambda pid: iter([Lock(0), Lock(0)]),   # re-acquire
+])
+def test_result_only_lock_errors_match(factory):
+    config = machine(2, 1, None)
+    program = compile_program(factory, 2, config.line_size)
+    for kind, *_ in _assert_three_paths_agree(config, program, rounds=1):
+        assert kind is RuntimeError
+
+
+@needs_kernel
+@pytest.mark.parametrize("app_name", ["mp3d", "radix", "raytrace"])
+def test_result_only_writes_visible_state_back(app_name, force_native):
+    """These apps first-touch pages during replay: the seam must bind
+    them on the app's own allocator, so a second run on the same app
+    sees the same placement as the canonical second run."""
+    kw = TINY[app_name]
+    config = RunRequest.make(app_name, 2, 4.0, kw).config_for(CFG)
+    program = build_app(app_name, config, **kw).compiled_program()
+    native_app = build_app(app_name, config, **kw)
+    python_app = build_app(app_name, config, **kw)
+    for _ in range(2):
+        got = try_replay_native(config, native_app, program)
+        want = python_app.run(program=program)
+        assert got is not None
+        assert got.to_json() == want.to_json()
+        assert (_allocation(native_app.allocator)
+                == _allocation(python_app.allocator))
+    assert python_app.allocator.first_touch_pages > 0
 
 
 # ------------------------------------------------ selection semantics
