@@ -21,9 +21,12 @@
  * Equivalences relied on (proved against the canonical engine, pinned by
  * tests/test_native_properties.py):
  *
- * - scheduler: a binary heap of (time, seq, pid) with a monotone seq
- *   counter pops in exactly the bucket queue's FIFO-per-time order,
- *   which is the canonical (time, seq, pid) heap order.
+ * - scheduler: the canonical (time, seq, pid) heap pops in FIFO-per-time
+ *   order, which a bucket queue gives in O(1): a ring of per-time FIFO
+ *   slots covering [cur, cur + 4096) for the time cur of the last pop,
+ *   plus an overflow (time, seq, pid) heap for events further ahead.
+ *   cur never decreases, so an overflow event was queued before every
+ *   ring event of its time, and on a tie the overflow pops first.
  * - LRU: a doubly-linked list over slot numbers (head = LRU) mirrors
  *   CPython dict insertion order under the same touch discipline
  *   (pop + reinsert == unlink + push_tail); maintained untouched in
@@ -377,7 +380,8 @@ static inline void lock_dequeue(Lock *lk, int64_t *pid, int64_t *arr) {
 
 /* ------------------------------------------------------------- heap
  * (time, seq, pid) binary min-heap; seq is a monotone counter, so pop
- * order is FIFO within one time == the canonical bucket-queue order. */
+ * order is FIFO within one time.  Only the scheduler's far events go
+ * here (see Sched below). */
 
 typedef struct {
     int64_t t, seq, pid;
@@ -418,6 +422,116 @@ static inline Ev heap_pop(Ev *h, int64_t *hn) {
         }
     }
     return top;
+}
+
+/* -------------------------------------------------------- scheduler
+ * Bucket queue over event time, popping in FIFO-per-time order.  A ring
+ * of RING slots holds every event in [cur, cur + RING), one time per
+ * slot, where cur is the time of the last pop; a slot is a FIFO of pids
+ * linked through next[] (a processor has at most one queued event), and
+ * a two-level occupancy bitmap finds the first non-empty slot.  Events
+ * at or beyond cur + RING go to the overflow heap.  cur never decreases
+ * and every push is at a time >= cur (WORK is non-negative), so each
+ * overflow event at time T was pushed before any ring event at T: on
+ * equal times the overflow wins. */
+
+#define RING_BITS 12 /* at most 12: one top word covers RING / 64 words */
+#define RING (1 << RING_BITS)
+#define RMASK (RING - 1)
+
+typedef struct {
+    int64_t cur;
+    int32_t *head, *tail; /* RING: slot FIFOs, head -1 when empty */
+    uint64_t *occ;        /* RING / 64: non-empty slots */
+    uint64_t top;         /* non-zero occ words; 0 iff the ring is empty */
+    int32_t *next;        /* n: FIFO link per pid */
+    Ev *heap;             /* n: overflow (far events) */
+    int64_t hn, seq;
+} Sched;
+
+static int sched_init(Sched *s, int64_t n) {
+    memset(s, 0, sizeof(*s));
+    s->head = (int32_t *)malloc(RING * sizeof(int32_t));
+    s->tail = (int32_t *)malloc(RING * sizeof(int32_t));
+    s->occ = (uint64_t *)calloc(RING / 64, sizeof(uint64_t));
+    s->next = (int32_t *)malloc(n * sizeof(int32_t));
+    s->heap = (Ev *)malloc(n * sizeof(Ev));
+    if (!s->head || !s->tail || !s->occ || !s->next || !s->heap)
+        return ST_NOMEM;
+    memset(s->head, 0xff, RING * sizeof(int32_t));
+    return 0;
+}
+
+static void sched_free(Sched *s) {
+    free(s->head);
+    free(s->tail);
+    free(s->occ);
+    free(s->next);
+    free(s->heap);
+}
+
+static inline void sched_push(Sched *s, int64_t t, int64_t pid) {
+    if ((uint64_t)(t - s->cur) >= RING) {
+        Ev e = {t, s->seq++, pid};
+        heap_push(s->heap, &s->hn, e);
+        return;
+    }
+    int slot = (int)(t & RMASK);
+    s->next[pid] = -1;
+    if (s->head[slot] < 0) {
+        s->head[slot] = (int32_t)pid;
+        s->occ[slot >> 6] |= 1ULL << (slot & 63);
+        s->top |= 1ULL << (slot >> 6);
+    } else {
+        s->next[s->tail[slot]] = (int32_t)pid;
+    }
+    s->tail[slot] = (int32_t)pid;
+}
+
+/* First non-empty ring slot at or after cur's, cyclically (top != 0). */
+static inline int ring_first(const Sched *s) {
+    int c = (int)(s->cur & RMASK);
+    int w = c >> 6;
+    uint64_t m = s->occ[w] & (~0ULL << (c & 63));
+    if (m) return (w << 6) | ctz64(m);
+    uint64_t later = s->top & (~1ULL << w); /* words after w */
+    int w2 = ctz64(later ? later : s->top); /* else wrap around */
+    return (w2 << 6) | ctz64(s->occ[w2]);
+}
+
+static inline int64_t ring_time(const Sched *s, int slot) {
+    return s->cur + ((slot - s->cur) & RMASK);
+}
+
+/* Pop the earliest event (queue non-empty): its pid, its time in *t,
+ * and the earliest time still queued (T_INF when none) in *hz. */
+static inline int64_t sched_pop(Sched *s, int64_t *t, int64_t *hz) {
+    int slot = 0;
+    int64_t rt = T_INF;
+    if (s->top) {
+        slot = ring_first(s);
+        rt = ring_time(s, slot);
+    }
+    int64_t ot = s->hn ? s->heap[0].t : T_INF;
+    if (ot <= rt) {
+        Ev e = heap_pop(s->heap, &s->hn);
+        s->cur = *t = e.t;
+        ot = s->hn ? s->heap[0].t : T_INF;
+        *hz = ot < rt ? ot : rt;
+        return e.pid;
+    }
+    int32_t pid = s->head[slot];
+    int32_t nx = s->next[pid];
+    s->head[slot] = nx;
+    s->cur = *t = rt;
+    if (nx < 0) { /* slot drained: the ring minimum moves on */
+        uint64_t *wd = &s->occ[slot >> 6];
+        *wd &= ~(1ULL << (slot & 63));
+        if (!*wd) s->top &= ~(1ULL << (slot >> 6));
+        rt = s->top ? ring_time(s, ring_first(s)) : T_INF;
+    }
+    *hz = ot < rt ? ot : rt;
+    return pid;
 }
 
 /* --------------------------------------------------------------- buf */
@@ -717,8 +831,13 @@ static int barrier_of(Barriers *bs, int64_t id, int64_t n_procs,
     b->n_wait = 0;
     b->wpid = (int64_t *)malloc(n_procs * sizeof(int64_t));
     b->warr = (int64_t *)malloc(n_procs * sizeof(int64_t));
-    if (!b->wpid || !b->warr) return ST_NOMEM;
-    if (map_put(&bs->ix, id, bs->n, 0)) return ST_NOMEM;
+    /* bs->n counts only complete barriers, so the cleanup at done: never
+     * sees this one: free its arrays here */
+    if (!b->wpid || !b->warr || map_put(&bs->ix, id, bs->n, 0)) {
+        free(b->wpid);
+        free(b->warr);
+        return ST_NOMEM;
+    }
     bs->n++;
     *out = b;
     return 0;
@@ -788,8 +907,8 @@ EXPORT int64_t repro_replay(
     memset(&bars, 0, sizeof(bars));
     Locks locks;
     memset(&locks, 0, sizeof(locks));
-    Ev *heap = NULL;
-    int64_t hn = 0;
+    Sched sq;
+    memset(&sq, 0, sizeof(sq));
     int64_t *ipos = NULL, *retry = NULL;
     /* per-processor current column (own or a grabbed task block) and the
      * own-column position to resume at once the table runs dry (-1 while
@@ -823,18 +942,18 @@ EXPORT int64_t repro_replay(
     x.hist = (Map *)calloc(ncl, sizeof(Map));
     x.hist_log = (Buf *)calloc(ncl, sizeof(Buf));
     x.ctr = (int64_t *)calloc(ncl * NCTR, sizeof(int64_t));
-    heap = (Ev *)malloc((n + 4) * sizeof(Ev));
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
     cops = (const int64_t **)malloc(n * sizeof(*cops));
     cargs = (const int64_t **)malloc(n * sizeof(*cargs));
     clen = (int64_t *)malloc(n * sizeof(int64_t));
     resume = (int64_t *)malloc(n * sizeof(int64_t));
-    if (!x.ca || !x.hist || !x.hist_log || !x.ctr || !heap || !ipos ||
+    if (!x.ca || !x.hist || !x.hist_log || !x.ctr || !ipos ||
         !retry || !cops || !cargs || !clen || !resume) {
         st = ST_NOMEM;
         goto done;
     }
+    if ((st = sched_init(&sq, n))) goto done;
     if ((st = map_init(&x.dir, 1024, 1))) goto done;
     if ((st = map_init(&x.homes, 1024, 0))) goto done;
     if ((st = map_init(&x.pages, 64, 0))) goto done;
@@ -866,21 +985,12 @@ EXPORT int64_t repro_replay(
         resume[p] = -1;
     }
 
-    /* initial events: every processor at time 0, pid order == seq order */
-    {
-        int64_t seq0 = 0;
-        for (int64_t p = 0; p < n; p++) {
-            Ev e = {0, seq0++, p};
-            heap_push(heap, &hn, e);
-        }
-    }
-    int64_t seq = n;
+    /* initial events: every processor at time 0, in pid order */
+    for (int64_t p = 0; p < n; p++) sched_push(&sq, 0, p);
     int64_t n_running = n;
 
-    Ev e0 = heap_pop(heap, &hn);
-    int64_t t = e0.t;
-    int64_t pid = e0.pid;
-    int64_t hz = hn ? heap[0].t : T_INF;
+    int64_t t, hz;
+    int64_t pid = sched_pop(&sq, &t, &hz);
     int cl = (int)(pid / csize);
     int64_t *ct = x.ctr + (size_t)cl * NCTR;
     int64_t pending = retry[pid];
@@ -1027,8 +1137,7 @@ EXPORT int64_t repro_replay(
                         b->episodes++;
                         for (int64_t w = 0; w < b->n_wait; w++) {
                             bd[4 * b->wpid[w] + 3] += t - b->warr[w];
-                            Ev e = {t, seq++, b->wpid[w]};
-                            heap_push(heap, &hn, e);
+                            sched_push(&sq, t, b->wpid[w]);
                         }
                         b->n_wait = 0;
                     }
@@ -1078,11 +1187,9 @@ EXPORT int64_t repro_replay(
                         lk->cont++;
                         /* enqueue order (self, then next holder) fixes
                          * the tie-break at t+1 */
-                        Ev e1 = {t + 1, seq++, pid};
-                        heap_push(heap, &hn, e1);
+                        sched_push(&sq, t + 1, pid);
                         bd[4 * np + 3] += t - arr;
-                        Ev e2 = {t + 1, seq++, np};
-                        heap_push(heap, &hn, e2);
+                        sched_push(&sq, t + 1, np);
                         noevent = 1;
                         break;
                     }
@@ -1125,18 +1232,14 @@ EXPORT int64_t repro_replay(
 
         /* ---- scheduling tail */
         if (noevent) {
-            if (hn == 0) break;
+            if (!sq.top && !sq.hn) break;
         } else if (tn < hz) { /* retry arm / fresh merge only */
             t = tn;
             continue;
         } else {
-            Ev e = {tn, seq++, pid};
-            heap_push(heap, &hn, e);
+            sched_push(&sq, tn, pid);
         }
-        Ev nx = heap_pop(heap, &hn);
-        t = nx.t;
-        pid = nx.pid;
-        hz = hn ? heap[0].t : T_INF;
+        pid = sched_pop(&sq, &t, &hz);
         cl = (int)(pid / csize);
         ct = x.ctr + (size_t)cl * NCTR;
         pending = retry[pid];
@@ -1205,8 +1308,10 @@ EXPORT int64_t repro_replay(
             Map seen;
             Buf ord;
             memset(&ord, 0, sizeof(ord));
-            if ((rc = map_init(&seen, (size_t)x.dir.live * 2 + 16, 0)))
+            if ((rc = map_init(&seen, (size_t)x.dir.live * 2 + 16, 0))) {
+                map_free(&seen); /* a partial init holds some arrays */
                 goto export_done;
+            }
             for (int64_t i = x.dir_log.n - 1; i >= 0 && !rc; i--) {
                 int64_t k = x.dir_log.v[i];
                 if (!map_get(&x.dir, k, NULL, NULL)) continue;
@@ -1309,7 +1414,7 @@ done:
         free(locks.v);
     }
     map_free(&locks.ix);
-    free(heap);
+    sched_free(&sq);
     free(ipos);
     free(retry);
     free(cops);

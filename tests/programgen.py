@@ -14,27 +14,44 @@ from repro.core.config import MachineConfig
 from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
 
 _ADDR = st.integers(min_value=0, max_value=1023)
-_BASIC = st.one_of(
-    st.tuples(st.just("work"), st.integers(min_value=0, max_value=20)),
-    st.tuples(st.just("read"), _ADDR),
-    st.tuples(st.just("write"), _ADDR),
+
+
+def atoms(work):
+    """The atom strategy with WORK cycles drawn from ``work``."""
+    basic = st.one_of(
+        st.tuples(st.just("work"), work),
+        st.tuples(st.just("read"), _ADDR),
+        st.tuples(st.just("write"), _ADDR),
+    )
+    return st.one_of(
+        basic,
+        st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
+                  st.lists(basic, max_size=4)),
+    )
+
+
+ATOM = atoms(st.integers(min_value=0, max_value=20))
+
+#: WORK cycles on both sides of the native scheduler's 4096-slot time
+#: ring and far beyond it, mixed with very short ones so that event
+#: times collide
+FAR_WORK = st.one_of(
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([2 ** k + d for k in range(10, 21) for d in (-1, 0, 1)]
+                    + [10 ** 6, 10 ** 9]),
 )
-ATOM = st.one_of(
-    _BASIC,
-    st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
-              st.lists(_BASIC, max_size=4)),
-)
+FAR_ATOM = atoms(FAR_WORK)
 
 #: per-processor cache sizes in KB: infinite / 4 lines / 16 lines
 CACHE_KB = st.sampled_from([None, 0.0625, 0.25])
 
 
 @st.composite
-def programs(draw):
+def programs(draw, atom=ATOM, sizes=(2, 4)):
     """``(n_processors, phases, table)`` for :func:`factory_of`."""
-    n = draw(st.sampled_from([2, 4]))
+    n = draw(st.sampled_from(sizes))
     phases = draw(st.integers(min_value=1, max_value=3))
-    table = [[draw(st.lists(ATOM, max_size=10)) for _ in range(phases)]
+    table = [[draw(st.lists(atom, max_size=10)) for _ in range(phases)]
              for _ in range(n)]
     return n, phases, table
 

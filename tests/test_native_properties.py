@@ -33,9 +33,9 @@ from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
 from repro.sim.engine import SimulationDeadlock, execute_program
 from repro.sim.nativereplay import (native_fusible, replay_native,
                                     try_replay_native)
-from repro.sim.program import Barrier, Lock, Unlock, Work
+from repro.sim.program import Barrier, Lock, Read, Unlock, Work
 
-from programgen import CACHE_KB, factory_of, machine, programs
+from programgen import CACHE_KB, FAR_ATOM, factory_of, machine, programs
 from test_runtime import CFG, TINY, golden_payload
 from test_taskqueue import task_program, task_programs
 
@@ -132,6 +132,83 @@ def test_native_task_tables_match_python_replay(data, cluster_pick,
 
     assert got.to_json() == reference.to_json()
     assert _snapshot(mem_native) == _snapshot(mem_python)
+
+
+# ------------------------------------ scheduler: far events and ties
+# The kernel queues events less than 4096 cycles ahead in a time ring and
+# later ones in an overflow heap; an overflow event must pop before a
+# ring event of the same time (it was queued first).
+
+def _assert_full_state_agrees(config, program):
+    mem_python = CoherentMemorySystem(config)
+    reference = execute_program(config, mem_python, program, compiled=True)
+    mem_native = CoherentMemorySystem(config)
+    got = replay_native(config, mem_native, program, lib=_LIB)
+    assert got.to_json() == reference.to_json()
+    assert _snapshot(mem_native) == _snapshot(mem_python)
+
+
+@needs_kernel
+@settings(max_examples=100, deadline=None)
+@given(data=programs(FAR_ATOM, sizes=(8,)),
+       cluster_pick=st.integers(min_value=0, max_value=2),
+       cache_kb=CACHE_KB, fuse_work=st.booleans())
+def test_far_work_matches_python_kernels(data, cluster_pick, cache_kb,
+                                         fuse_work):
+    n, phases, table = data
+    config = machine(n, [1, 2, n][cluster_pick], cache_kb)
+    program = compile_program(factory_of(phases, table), n,
+                              config.line_size, fuse_work=fuse_work)
+    _assert_full_state_agrees(config, program)
+
+
+@needs_kernel
+@pytest.mark.parametrize("cache_kb", [None, 0.0625])
+def test_overflow_event_wins_time_tie(cache_kb):
+    """p0 queues t=4096 from cur=0 (overflow); p1 queues t=4096 from
+    cur=1 (ring).  p0 was first, so it must take the lock first."""
+    def factory(pid):
+        if pid == 0:
+            yield Work(4096)
+        elif pid == 1:
+            yield Work(1)
+            yield Work(4095)
+        else:
+            yield Work(1)
+        yield Lock(0)
+        yield Read(64 * pid)
+        yield Unlock(0)
+
+    config = machine(3, 1, cache_kb)
+    program = compile_program(factory, 3, config.line_size, fuse_work=False)
+    _assert_full_state_agrees(config, program)
+
+
+@needs_kernel
+@pytest.mark.parametrize("far", [4095, 4096, 10 ** 9])
+@pytest.mark.parametrize("on_lock", [True, False])
+def test_deadlock_with_far_events_queued(far, on_lock):
+    """The others block -- on a lock processor 0 holds, or on a barrier
+    it never reaches -- while its far-future event is queued; it then
+    finishes and leaves them stuck."""
+    def factory(pid):
+        if pid == 0:
+            if on_lock:
+                yield Lock(7)
+            yield Work(far)
+        elif on_lock:
+            yield Work(pid)
+            yield Lock(7)
+            yield Work(far)
+            yield Unlock(7)
+        else:
+            yield Work(pid)
+            yield Barrier(0)
+
+    config = machine(4, 2, None)
+    program = compile_program(factory, 4, config.line_size)
+    outcomes = _assert_three_paths_agree(config, program)
+    assert all(kind is SimulationDeadlock for kind, *_ in outcomes)
 
 
 # ------------------------------------------------ error-path parity
