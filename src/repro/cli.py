@@ -97,20 +97,9 @@ def _native_selection(args: argparse.Namespace) -> bool | None:
 
     import repro.native as native
 
-    from .sim.nativereplay import NATIVE_PROTOCOLS
-
     if args.native and args.no_native:
         print("repro-clustering: --native and --no-native are mutually "
               "exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    protocol = getattr(args, "protocol", "directory")
-    if args.native and protocol not in NATIVE_PROTOCOLS:
-        # a forced kernel selection must refuse an unimplemented
-        # protocol up front, not silently run the python path
-        print(f"repro-clustering: --native: the C kernel implements "
-              f"{', '.join(sorted(NATIVE_PROTOCOLS))} only, not "
-              f"'{protocol}'; drop --native (auto selection degrades "
-              f"to the python engine)", file=sys.stderr)
         raise SystemExit(2)
     if args.native:
         prev = os.environ.get("REPRO_NATIVE")

@@ -32,7 +32,7 @@ __all__ = ["ABI_VERSION", "BuildError", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -136,6 +136,7 @@ def load() -> ctypes.CDLL:
     p = ctypes.POINTER(ctypes.c_int64)
     lib.repro_replay.restype = ctypes.c_int64
     lib.repro_replay.argtypes = [
+        ctypes.c_int64,                                   # protocol id
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,   # n, ncl, csize
         ctypes.POINTER(p), ctypes.POINTER(p), p,          # ops, args, lens
         ctypes.c_int64,                                   # n_tasks
@@ -143,6 +144,7 @@ def load() -> ctypes.CDLL:
         ctypes.c_int64,                                   # cap
         ctypes.c_int64, ctypes.c_int64,                   # l_lc, l_rc
         ctypes.c_int64, ctypes.c_int64,                   # l_ldr, l_rd3
+        ctypes.c_int64, ctypes.c_int64,                   # snoopy bus costs
         ctypes.c_int64, ctypes.c_int64,                   # lpp, rr_next
         p, p, ctypes.c_int64,                             # page_home, n_ph
         p, p, p, p,                   # finish, breakdowns, exec_time, err

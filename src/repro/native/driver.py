@@ -9,18 +9,30 @@ state in one int64 blob, in two parts:
   cursor (the allocator is the application's and outlives the replay),
   the per-cluster counters the :class:`~repro.core.metrics.RunResult`
   is assembled from, and on deadlock the sync registry;
-* the *private* state, only with ``export_private``: the directory
-  table and counters, every resident cache line in LRU order, free
-  lists, evictions/inserts and the miss histories.
+* the *private* state, only with ``export_private`` and only for the
+  directory protocol: the directory table and counters, every resident
+  cache line in LRU order, free lists, evictions/inserts and the miss
+  histories.
+
+The memory system is an exact instance of one of the three protocol
+classes; the driver passes the kernel that protocol's id, which picks
+the kernel's cold-path arms.
 
 :func:`run_native` writes what it received back **in place** into the
-live :class:`CoherentMemorySystem` objects — slot maps rebuilt in exact
-LRU/dict order, columns extended with the cache's own growth schedule,
-counters accumulated.  With the private state the memory system
-afterwards is indistinguishable from one the canonical python engine
-(:meth:`~repro.sim.engine.Engine.run_compiled`) drove; without it only
-its counters and allocator are, which is all the caller needs to
-assemble the identical result from a memory system it then discards.
+live memory objects — for a directory memory with the private state,
+slot maps rebuilt in exact LRU/dict order, columns extended with the
+cache's own growth schedule, counters accumulated.  With the private
+state the memory system afterwards is indistinguishable from one the
+canonical python engine (:meth:`~repro.sim.engine.Engine.run_compiled`)
+drove; without it only its counters and allocator are, which is all the
+caller needs to assemble the identical result from a memory system it
+then discards.
+
+The ctypes pointer arrays over a program's columns are built once per
+program and kept on it (``CompiledProgram._native``): the columns are
+immutable and the program keeps their buffers (or the file mapping
+behind them) alive, so every later replay of the same program passes
+the same arrays.
 
 Error statuses map to the exact exceptions (type and message) the
 canonical engine raises; deadlock (status 1) writes the state back
@@ -35,12 +47,19 @@ import ctypes
 from typing import TYPE_CHECKING
 
 from ..core.metrics import MissCause, TimeBreakdown
+from ..memory.coherence import CoherentMemorySystem
+from ..memory.dls import DLSMemorySystem
+from ..memory.snoopy import SnoopyClusterMemorySystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import MachineConfig
-    from ..memory.coherence import CoherentMemorySystem
 
 __all__ = ["NativeDeadlock", "run_native"]
+
+#: exact memory-system class -> the kernel's protocol id (``PROTO_*`` in
+#: kernel.c)
+_PROTOCOL_IDS = {CoherentMemorySystem: 0, SnoopyClusterMemorySystem: 1,
+                DLSMemorySystem: 2}
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _CAUSES = (MissCause.COLD, MissCause.CAPACITY, MissCause.COHERENCE)
@@ -93,37 +112,56 @@ def _columns(ops_cols, args_cols):
             (ctypes.c_int64 * k)(*[len(c) for c in ops_cols]))
 
 
-def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
-               program, *, export_private: bool,
-               ) -> tuple[int, list[TimeBreakdown]]:
+def _program_columns(program):
+    """The program's pointer arrays, built on first use and kept on it."""
+    cols = program._native
+    if cols is None:
+        cols = program._native = (
+            _columns(program.ops, program.args)
+            + _columns(program.task_ops, program.task_args))
+    return cols
+
+
+def run_native(lib, config: "MachineConfig", memory, program, *,
+               export_private: bool) -> tuple[int, list[TimeBreakdown]]:
     """Replay ``program`` on ``memory`` natively; return (time, breakdowns).
 
     ``memory`` must be fresh and flat (the ``native_fusible`` gate in
     :mod:`repro.sim.nativereplay` guarantees it).  Always writes the
     visible state back: ``memory``'s counters and its allocator's first
-    touches.  With ``export_private`` it also writes the directory, the
-    caches and the miss histories, so ``memory`` ends in the exact state
-    the canonical python engine would leave; without it they stay at
-    their fresh state, for a caller that discards ``memory``.
+    touches.  With ``export_private`` (directory memory only) it also
+    writes the directory, the caches and the miss histories, so
+    ``memory`` ends in the exact state the canonical python engine would
+    leave; without it they stay at their fresh state, for a caller that
+    discards ``memory``.
     """
+    proto = _PROTOCOL_IDS[type(memory)]
+    if export_private and proto:
+        raise ValueError("only a directory memory system exports its "
+                         "full end state")
     n = config.n_processors
     ncl = config.n_clusters
     c64 = ctypes.c_int64
     P = ctypes.POINTER(c64)
 
-    # zero-copy column views; keep the arrays (or the mmap behind a
-    # mapped program's memoryviews) referenced for the call
-    ops_arr, args_arr, lens = _columns(program.ops, program.args)
+    # zero-copy column views, cached on the program, which keeps the
+    # arrays (or the mmap behind its memoryviews) referenced
+    ops_arr, args_arr, lens, task_ops, task_args, task_lens = \
+        _program_columns(program)
     n_tasks = program.n_tasks
-    task_ops, task_args, task_lens = _columns(program.task_ops,
-                                              program.task_args)
 
     alloc = memory.allocator
     ph = alloc._page_home
     pages = (c64 * max(1, len(ph)))(*ph.keys())
     homes = (c64 * max(1, len(ph)))(*ph.values())
 
-    cap = memory._capacity_lines
+    if proto == 1:  # snoopy: per-processor caches and bus costs
+        cap = memory.caches[0].capacity_lines
+        bus = (memory.snoop_penalty, memory.c2c_latency)
+    else:
+        cap = memory._capacity_lines
+        bus = (0, 0)
+    lat = config.latency
     finish_a = (c64 * n)()
     bd = (c64 * (4 * n))()
     exec_time = c64()
@@ -132,13 +170,13 @@ def run_native(lib, config: "MachineConfig", memory: "CoherentMemorySystem",
     blob_len = c64()
 
     st = lib.repro_replay(
-        n, ncl, config.cluster_size,
+        proto, n, ncl, config.cluster_size,
         ops_arr, args_arr, lens,
         n_tasks, task_ops, task_args, task_lens,
         -1 if cap is None else cap,
-        memory._local_clean, memory._remote_clean,
-        memory._local_dirty_remote, memory._remote_dirty_3p,
-        memory._lines_per_page, alloc._rr_next,
+        lat.local_clean, lat.remote_clean,
+        lat.local_dirty_remote, lat.remote_dirty_third_party, *bus,
+        alloc._lines_per_page, alloc._rr_next,
         pages, homes, len(ph),
         finish_a, bd, ctypes.byref(exec_time), err,
         int(export_private), ctypes.byref(blob_p), ctypes.byref(blob_len))

@@ -2,24 +2,36 @@
  * repro.sim.engine.Engine.run_compiled.
  *
  * One call replays one compiled program against one (fresh) flat-latency
- * CoherentMemorySystem configuration and returns finish times,
- * per-processor time breakdowns, execution time, and one int64 blob.
- * The blob always holds the *visible* state, the part a caller can
- * observe after the run: allocator first touches and rr_next (they
- * mutate the application's own allocator), the per-cluster counters the
- * RunResult is assembled from, and -- on deadlock only -- the sync
- * registry the canonical deadlock message is built from.  The *private*
- * end state (directory table and counters, per-cluster cache columns in
- * exact LRU order, free lists, evictions/inserts, miss histories) is
- * exported only when export_private is set; without it the kernel also
- * skips the dict-order insertion logs, which exist only to order that
- * export.  The Python driver
- * (repro.native.driver) writes the blob back into the live objects, so
- * the result is byte-identical to the canonical python engine -- which
- * remains the reference.
+ * memory system of any of the three coherence protocols and returns
+ * finish times, per-processor time breakdowns, execution time, and one
+ * int64 blob.  The blob always holds the *visible* state, the part a
+ * caller can observe after the run: allocator first touches and rr_next
+ * (they mutate the application's own allocator), the per-cluster
+ * counters the RunResult is assembled from, and -- on deadlock only --
+ * the sync registry the canonical deadlock message is built from.  The
+ * *private* end state (directory table and counters, per-cluster cache
+ * columns in exact LRU order, free lists, evictions/inserts, miss
+ * histories) is exported only when export_private is set, for the
+ * directory protocol only; without it the kernel also skips the
+ * dict-order insertion logs, which exist only to order that export.  The
+ * Python driver (repro.native.driver) writes the blob back into the live
+ * objects, so the result is byte-identical to the canonical python
+ * engine -- which remains the reference.
+ *
+ * Protocol seam.  One replay loop, scheduler, map, cache, counter,
+ * first-touch allocator and sync registry serve three protocols
+ * (proto: 0 directory = memory.coherence, 1 snoopy = memory.snoopy,
+ * 2 dls = memory.dls).  Per event the loop picks a cache index ci: the
+ * cluster for directory and DLS, the processor for snoopy (per-processor
+ * caches).  The inline read-hit path (LRU touch, merge, prefetch credit)
+ * is shared and protocol-blind; protocols differ only on the cold paths
+ * -- read miss and merge refetch (proto_read_miss), write miss
+ * (proto_write_miss), a write hit on a non-EXCLUSIVE line
+ * (proto_upgrade) and victim retirement (inside install) -- each one
+ * switch on proto, whose directory arm is the original code.
  *
  * Equivalences relied on (proved against the canonical engine, pinned by
- * tests/test_native_properties.py):
+ * tests/test_native_properties.py and tests/test_native_protocols.py):
  *
  * - scheduler: the canonical (time, seq, pid) heap pops in FIFO-per-time
  *   order, which a bucket queue gives in O(1): a ring of per-time FIFO
@@ -34,6 +46,28 @@
  * - counters: busy cycles and reads/writes are counted online at op
  *   dispatch (never on a merge retry), which totals exactly what the
  *   canonical python replay counts.
+ * - DLS probes the local slice first, where python looks the home up
+ *   before probing: a slice only ever holds lines homed at its cluster,
+ *   and every install follows the home lookup (and so the page binding)
+ *   of its line, so a local-slice hit is exactly a local-home hit and
+ *   the lookup it skips could not have bound a page.  A local-slice miss
+ *   looks the home up and goes local or remote from there; remote reads
+ *   never merge, so a merge retry is always a local-home read.  There is
+ *   no directory and no upgrade miss (a write hit just dirties the
+ *   line).  Histories are per cluster: COHERENCE after a cluster's first
+ *   touch of a remote-homed line, CAPACITY on slice eviction.
+ * - snoopy keeps one cache per processor, installed with fetcher -1, so
+ *   the shared prefetch credit never fires (python's snoopy hit path has
+ *   none).  A miss snoops the cluster-mates in ascending pid order,
+ *   pending lines included; a hit there is a cache-to-cache transfer
+ *   that downgrades an EXCLUSIVE copy, with no directory transaction.
+ *   Histories are per processor, holding python's marks encoded so the
+ *   miss cause is the mark itself: 1 EVICTED (CAPACITY), 2 INVALIDATED
+ *   (COHERENCE), 3 RESIDENT (classifies CAPACITY).  The directory
+ *   transitions are memory.directory's: a read fill never raises the
+ *   dirty-owner error and downgrades the owner only when the line is
+ *   EXCLUSIVE and the requester is not its only sharer; a victim is
+ *   hinted or written back only when no cluster-mate still holds it.
  *
  * - task table: GRAB (op 6) takes k = grabbed++ and continues in task
  *   block k, or -- once k >= n_tasks -- back in the processor's own
@@ -58,7 +92,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 3
+#define ABI 4
+
+#define PROTO_DIRECTORY 0
+#define PROTO_SNOOPY 1
+#define PROTO_DLS 2
 
 #define ST_OK 0
 #define ST_DEADLOCK 1
@@ -579,15 +617,18 @@ static int map_put_ordered(Map *m, Buf *log, int64_t k, int64_t a,
 typedef struct {
     int64_t n, ncl, csize, cap, lpp, rr_next;
     int touch;
+    int proto;          /* PROTO_*: picks the cold-path arms (see header) */
     int export_private; /* export the private end state (see header) */
     int64_t l_lc, l_rc, l_ldr, l_rd3;
-    Cache *ca;  /* ncl */
-    Map dir;    /* line -> (state, mask) */
+    int64_t snoop_penalty, l_c2c; /* snoopy bus costs */
+    Cache *ca;  /* per cache index: ncl, or n for snoopy */
+    Map dir;    /* line -> (state, mask); unused by DLS */
     Buf dir_log;   /* dir insertion log (python-dict export order) */
     Map homes;  /* line -> home memo (per replay, as in the kernel) */
     Map pages;  /* page -> home (allocator._page_home) */
-    Map *hist;  /* ncl: line -> cause (1 CAPACITY, 2 COHERENCE) */
-    Buf *hist_log; /* ncl: history insertion logs (insert-only maps) */
+    Map *hist;  /* per cache index: line -> cause (1 CAPACITY,
+                 * 2 COHERENCE; snoopy adds 3 RESIDENT, see header) */
+    Buf *hist_log; /* per cache index: history insertion logs */
     int64_t *ctr; /* ncl * NCTR */
     int64_t inv_sent, repl_hints, writebacks;
     int64_t *ft; /* first-touch log: (page, home) pairs, in order */
@@ -660,12 +701,17 @@ static int retire(Ctx *x, int cl, int64_t vline, int64_t vstate) {
     return 0;
 }
 
-/* Install `line` into cluster cl's cache (state_new 1=SHARED on a read
- * miss, 2=EXCLUSIVE on a write miss), evicting the LRU victim when the
- * cache is full — the python kernel's install block, verbatim order. */
-static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
-                   int64_t state_new) {
-    Cache *c = &x->ca[cl];
+static int snoopy_retire(Ctx *x, int64_t ci, int64_t vline, int64_t vstate);
+
+/* Install `line` into cache ci (state_new 1=SHARED on a read miss,
+ * 2=EXCLUSIVE on a write miss) for `fetcher`, evicting the LRU victim
+ * when the cache is full — the python kernel's install block, verbatim
+ * order.  The victim's history mark (1) is CAPACITY, and snoopy's
+ * EVICTED; only its retirement differs by protocol (DLS has no
+ * directory: a dirty slice victim is just a writeback). */
+static int install(Ctx *x, int64_t ci, int64_t fetcher, int64_t line,
+                   int64_t ready, int64_t state_new) {
+    Cache *c = &x->ca[ci];
     int64_t slot;
     if (x->touch && (int64_t)c->slot_of.live >= x->cap) {
         slot = c->head;
@@ -676,15 +722,21 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
         c->evictions++;
         c->state[slot] = state_new;
         c->pending[slot] = ready;
-        c->fetcher[slot] = pid;
+        c->fetcher[slot] = fetcher;
         c->tag[slot] = line;
         if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
         lru_push_tail(c, slot);
         c->inserts++;
-        if (map_put_ordered(&x->hist[cl], hist_log(x, cl), vline,
+        if (map_put_ordered(&x->hist[ci], hist_log(x, ci), vline,
                             1 /*CAPACITY*/, 0))
             return ST_NOMEM;
-        int rc = retire(x, cl, vline, vstate);
+        int rc = 0;
+        if (x->proto == PROTO_DIRECTORY)
+            rc = retire(x, (int)ci, vline, vstate);
+        else if (x->proto == PROTO_SNOOPY)
+            rc = snoopy_retire(x, ci, vline, vstate);
+        else if (vstate == 2)
+            x->writebacks++;
         if (rc) return rc;
     } else {
         if (c->free_n) {
@@ -695,12 +747,14 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
         }
         c->state[slot] = state_new;
         c->pending[slot] = ready;
-        c->fetcher[slot] = pid;
+        c->fetcher[slot] = fetcher;
         c->tag[slot] = line;
         if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
         lru_push_tail(c, slot);
         c->inserts++;
     }
+    if (x->proto == PROTO_SNOOPY)
+        return map_put(&x->hist[ci], line, 3 /*RESIDENT*/, 0);
     return 0;
 }
 
@@ -797,6 +851,228 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
     return 0;
 }
 
+/* Write hit on a SHARED line: the upgrade invalidates every other
+ * sharer and takes the line EXCLUSIVE at the directory. */
+static int upgrade(Ctx *x, int cl, int64_t line) {
+    x->ctr[(size_t)cl * NCTR + 4]++; /* upgrade_misses */
+    int64_t ds = 0, dm = 0;
+    map_get(&x->dir, line, &ds, &dm);
+    uint64_t others = (uint64_t)dm & ~(1ULL << cl);
+    if (others) {
+        int rc = invalidate(x, others, line);
+        if (rc) return rc;
+        x->inv_sent += popcount64(others);
+    }
+    return map_put_ordered(&x->dir, dir_log(x), line, 2,
+                           (int64_t)(1ULL << cl));
+}
+
+/* ------------------------------------------------------ DLS and snoopy
+ * The cold-path arms of the other two protocols (header: "Protocol
+ * seam"); memory.dls.DLSMemorySystem and
+ * memory.snoopy.SnoopyClusterMemorySystem, transition for transition. */
+
+/* First cluster-mate of pid (ascending, pid excluded) whose cache holds
+ * `line`, pending or not; its slot in *slot.  -1 when none does. */
+static int64_t mate_holding(Ctx *x, int cl, int64_t pid, int64_t line,
+                            int64_t *slot) {
+    int64_t lo = (int64_t)cl * x->csize;
+    for (int64_t q = lo; q < lo + x->csize; q++)
+        if (q != pid && map_get(&x->ca[q].slot_of, line, slot, NULL))
+            return q;
+    return -1;
+}
+
+/* Snoopy cache.invalidate + the INVALIDATED mark. */
+static int drop(Ctx *x, int64_t ci, int64_t line) {
+    Cache *c = &x->ca[ci];
+    int64_t s;
+    if (!map_del(&c->slot_of, line, &s)) return 0;
+    if (cache_free_push(c, s)) return ST_NOMEM;
+    lru_unlink(c, s);
+    return map_put(&x->hist[ci], line, 2 /*INVALIDATED*/, 0);
+}
+
+/* Snoopy victim retirement: the directory hears of the victim -- hint or
+ * writeback, exactly as for a shared cache -- only when no cluster-mate
+ * still holds the line. */
+static int snoopy_retire(Ctx *x, int64_t ci, int64_t vline, int64_t vstate) {
+    int cl = (int)(ci / x->csize);
+    int64_t s;
+    if (mate_holding(x, cl, ci, vline, &s) >= 0) return 0;
+    return retire(x, cl, vline, vstate);
+}
+
+/* Snoopy history mark -> miss cause (RESIDENT classifies CAPACITY). */
+static inline int64_t snoopy_cause(Ctx *x, int64_t pid, int64_t line) {
+    int64_t mark = 0;
+    map_get(&x->hist[pid], line, &mark, NULL);
+    return mark == 3 ? 1 : mark;
+}
+
+/* Snoopy read miss: a cluster-mate's copy is a cache-to-cache transfer
+ * (downgrading an EXCLUSIVE copy, no directory transaction); otherwise a
+ * directory transaction plus the bus penalty. */
+static int snoopy_read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                            int64_t t, int64_t *stall_out) {
+    int64_t cause = snoopy_cause(x, pid, line), stall, s;
+    int64_t q = mate_holding(x, cl, pid, line, &s);
+    int rc;
+    if (q >= 0) {
+        Cache *hc = &x->ca[q];
+        if (hc->state[s] == 2) hc->state[s] = 1;
+        stall = x->l_c2c;
+    } else {
+        int64_t home, ds = 0, dm = 0;
+        if ((rc = home_of(x, line, &home))) return rc;
+        map_get(&x->dir, line, &ds, &dm);
+        if (ds == 2 && dm != (int64_t)(1ULL << cl)) {
+            /* dirty in another cluster: every EXCLUSIVE copy there
+             * downgrades, the reader joins the sharers */
+            int owner = 63 - __builtin_clzll((uint64_t)dm);
+            if (owner == cl) return ST_DIRTY_OWNER;
+            stall = (cl == home) ? x->l_ldr
+                                 : (owner == home ? x->l_rc : x->l_rd3);
+            int64_t lo = (int64_t)owner * x->csize;
+            for (int64_t o = lo; o < lo + x->csize; o++) {
+                Cache *oc = &x->ca[o];
+                if (map_get(&oc->slot_of, line, &s, NULL) &&
+                    oc->state[s] == 2)
+                    oc->state[s] = 1;
+            }
+        } else {
+            stall = (cl == home) ? x->l_lc : x->l_rc;
+        }
+        if (map_put(&x->dir, line, 1, dm | (int64_t)(1ULL << cl)))
+            return ST_NOMEM;
+        stall += x->snoop_penalty;
+    }
+    if ((rc = install(x, pid, -1, line, t + stall, 1))) return rc;
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    ct[2]++;            /* read_misses */
+    ct[8 + cause]++;    /* by_cause */
+    x->bd[4 * pid + 1] += stall; /* load */
+    *stall_out = stall;
+    return 0;
+}
+
+/* Snoopy write: invalidate every other copy -- the cluster-mates over
+ * the bus, then each other sharer cluster's processors, ascending -- and
+ * take the line EXCLUSIVE at the directory. */
+static int snoopy_claim(Ctx *x, int cl, int64_t pid, int64_t line) {
+    int rc;
+    int64_t lo = (int64_t)cl * x->csize;
+    for (int64_t q = lo; q < lo + x->csize; q++)
+        if (q != pid && (rc = drop(x, q, line))) return rc;
+    int64_t ds = 0, dm = 0;
+    map_get(&x->dir, line, &ds, &dm);
+    uint64_t others = (uint64_t)dm & ~(1ULL << cl);
+    for (uint64_t bits = others; bits; bits &= bits - 1) {
+        int64_t o = (int64_t)ctz64(bits) * x->csize;
+        for (int64_t q = o; q < o + x->csize; q++)
+            if ((rc = drop(x, q, line))) return rc;
+    }
+    x->inv_sent += popcount64(others);
+    return map_put(&x->dir, line, 2, (int64_t)(1ULL << cl));
+}
+
+static int snoopy_write_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                             int64_t t) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    ct[3]++;                               /* write_misses */
+    ct[8 + snoopy_cause(x, pid, line)]++; /* by_cause */
+    int rc = snoopy_claim(x, cl, pid, line);
+    if (rc) return rc;
+    int64_t home;
+    if ((rc = home_of(x, line, &home))) return rc;
+    int64_t latency = ((cl == home) ? x->l_lc : x->l_rc) + x->snoop_penalty;
+    return install(x, pid, -1, line, t + latency, 2);
+}
+
+/* DLS read miss in the local slice (fresh or merge refetch): a local
+ * home fills from local memory; a remote home is a transaction to the
+ * home slice, queueing behind a pending fill there or filling it from
+ * the home's memory on a slice miss. */
+static int dls_read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                         int64_t t, int64_t *stall_out) {
+    int64_t cause = 0, home, stall;
+    int rc = home_of(x, line, &home);
+    if (rc) return rc;
+    map_get(&x->hist[cl], line, &cause, NULL);
+    if (home == cl) {
+        stall = x->l_lc;
+        rc = install(x, cl, pid, line, t + stall, 1);
+    } else {
+        if (map_put(&x->hist[cl], line, 2 /*COHERENCE*/, 0)) return ST_NOMEM;
+        Cache *hc = &x->ca[home];
+        int64_t s;
+        if (map_get(&hc->slot_of, line, &s, NULL)) {
+            if (x->touch) lru_touch(hc, s);
+            int64_t queue = hc->pending[s] - t;
+            stall = x->l_rc + (queue > 0 ? queue : 0);
+        } else {
+            stall = x->l_rc + x->l_lc;
+            rc = install(x, home, pid, line, t + x->l_lc, 1);
+        }
+    }
+    if (rc) return rc;
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    ct[2]++;            /* read_misses */
+    ct[8 + cause]++;    /* by_cause */
+    x->bd[4 * pid + 1] += stall; /* load */
+    *stall_out = stall;
+    return 0;
+}
+
+/* DLS write miss in the local slice: write-allocate locally, or write
+ * through to the home slice (dirtying it, or allocating it there). */
+static int dls_write_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                          int64_t t) {
+    int64_t cause = 0, home;
+    int rc = home_of(x, line, &home);
+    if (rc) return rc;
+    map_get(&x->hist[cl], line, &cause, NULL);
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    ct[3]++;         /* write_misses */
+    ct[8 + cause]++; /* by_cause */
+    if (home == cl) return install(x, cl, pid, line, t + x->l_lc, 2);
+    if (map_put(&x->hist[cl], line, 2 /*COHERENCE*/, 0)) return ST_NOMEM;
+    Cache *hc = &x->ca[home];
+    int64_t s;
+    if (map_get(&hc->slot_of, line, &s, NULL)) {
+        if (x->touch) lru_touch(hc, s);
+        hc->state[s] = 2;
+        return 0;
+    }
+    return install(x, home, pid, line, t + x->l_lc, 2);
+}
+
+/* The protocol seam's cold-path dispatch. */
+static inline int proto_read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                                  int64_t t, int64_t *stall_out) {
+    if (x->proto == PROTO_DIRECTORY)
+        return read_miss(x, cl, pid, line, t, stall_out);
+    if (x->proto == PROTO_DLS)
+        return dls_read_miss(x, cl, pid, line, t, stall_out);
+    return snoopy_read_miss(x, cl, pid, line, t, stall_out);
+}
+
+static inline int proto_write_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                                   int64_t t) {
+    if (x->proto == PROTO_DIRECTORY) return write_miss(x, cl, pid, line, t);
+    if (x->proto == PROTO_DLS) return dls_write_miss(x, cl, pid, line, t);
+    return snoopy_write_miss(x, cl, pid, line, t);
+}
+
+/* Write hit on a non-EXCLUSIVE line; the caller then marks it EXCLUSIVE.
+ * DLS has no upgrade: the single copy just turns dirty. */
+static inline int proto_upgrade(Ctx *x, int cl, int64_t pid, int64_t line) {
+    if (x->proto == PROTO_DIRECTORY) return upgrade(x, cl, line);
+    if (x->proto == PROTO_DLS) return 0;
+    x->ctr[(size_t)cl * NCTR + 4]++; /* upgrade_misses */
+    return snoopy_claim(x, cl, pid, line);
+}
+
 /* ---------------------------------------------------------- registry */
 
 typedef struct {
@@ -886,19 +1162,23 @@ EXPORT void repro_release(int64_t *blob) { free(blob); }
  * OS via MADV_SEQUENTIAL.  The task table (task_ops/task_args/task_lens,
  * n_tasks blocks, each non-empty) follows the same contract. */
 EXPORT int64_t repro_replay(
+    int64_t proto, /* PROTO_DIRECTORY / PROTO_SNOOPY / PROTO_DLS */
     int64_t n, int64_t ncl, int64_t csize,
     const int64_t **ops, const int64_t **args, const int64_t *lens,
     int64_t n_tasks, const int64_t **task_ops, const int64_t **task_args,
     const int64_t *task_lens,
-    int64_t cap, /* capacity lines per cluster cache; -1 = infinite */
+    int64_t cap, /* capacity lines per cache (cluster, or processor for
+                  * snoopy); -1 = infinite */
     int64_t l_lc, int64_t l_rc, int64_t l_ldr, int64_t l_rd3,
+    int64_t snoop_penalty, int64_t l_c2c, /* snoopy only */
     int64_t lpp, int64_t rr_next,
     const int64_t *ph_pages, const int64_t *ph_homes, int64_t n_ph,
     int64_t *finish,     /* out: n, -1 = never finished */
     int64_t *bd,         /* out: 4n (cpu, load, merge, sync) */
     int64_t *exec_time,  /* out: 1 */
     int64_t *err,        /* out: 2 (pid / holder for lock errors) */
-    int64_t export_private, /* 1: also export the private end state */
+    int64_t export_private, /* 1: also export the private end state
+                             * (directory only; ignored otherwise) */
     int64_t **blob_out, int64_t *blob_len_out) {
     int64_t st = ST_OK;
     Ctx x;
@@ -924,23 +1204,29 @@ EXPORT int64_t repro_replay(
     err[0] = err[1] = -1;
     *exec_time = 0;
 
+    /* snoopy caches are per processor, the others per cluster */
+    const int per_proc = proto == PROTO_SNOOPY;
+    const int64_t ncache = per_proc ? n : ncl;
     x.n = n;
     x.ncl = ncl;
     x.csize = csize;
     x.cap = cap;
     x.touch = cap >= 0;
-    x.export_private = export_private != 0;
+    x.proto = (int)proto;
+    x.export_private = export_private != 0 && proto == PROTO_DIRECTORY;
     x.lpp = lpp;
     x.rr_next = rr_next;
     x.l_lc = l_lc;
     x.l_rc = l_rc;
     x.l_ldr = l_ldr;
     x.l_rd3 = l_rd3;
+    x.snoop_penalty = snoop_penalty;
+    x.l_c2c = l_c2c;
     x.bd = bd;
 
-    x.ca = (Cache *)calloc(ncl, sizeof(Cache));
-    x.hist = (Map *)calloc(ncl, sizeof(Map));
-    x.hist_log = (Buf *)calloc(ncl, sizeof(Buf));
+    x.ca = (Cache *)calloc(ncache, sizeof(Cache));
+    x.hist = (Map *)calloc(ncache, sizeof(Map));
+    x.hist_log = (Buf *)calloc(ncache, sizeof(Buf));
     x.ctr = (int64_t *)calloc(ncl * NCTR, sizeof(int64_t));
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
@@ -959,7 +1245,7 @@ EXPORT int64_t repro_replay(
     if ((st = map_init(&x.pages, 64, 0))) goto done;
     if ((st = map_init(&bars.ix, 16, 0))) goto done;
     if ((st = map_init(&locks.ix, 16, 0))) goto done;
-    for (int64_t i = 0; i < ncl; i++) {
+    for (int64_t i = 0; i < ncache; i++) {
         Cache *c = &x.ca[i];
         c->head = c->tail = -1;
         if ((st = map_init(&c->slot_of, x.touch ? (size_t)cap * 2 : 1024,
@@ -992,6 +1278,7 @@ EXPORT int64_t repro_replay(
     int64_t t, hz;
     int64_t pid = sched_pop(&sq, &t, &hz);
     int cl = (int)(pid / csize);
+    int64_t ci = per_proc ? pid : cl; /* the processor's cache index */
     int64_t *ct = x.ctr + (size_t)cl * NCTR;
     int64_t pending = retry[pid];
 
@@ -1000,7 +1287,7 @@ EXPORT int64_t repro_replay(
         int noevent = 0;
         if (pending != NO_LINE) {
             /* ---- retry of a merged read at its fill time */
-            Cache *c = &x.ca[cl];
+            Cache *c = &x.ca[ci];
             int64_t slot;
             int found = map_get(&c->slot_of, pending, &slot, NULL);
             if (found) {
@@ -1024,7 +1311,7 @@ EXPORT int64_t repro_replay(
                 /* invalidated while pending: refetch (fresh read miss) */
                 ct[6]++; /* merge_refetches */
                 int64_t stall;
-                int rc = read_miss(&x, cl, pid, pending, t, &stall);
+                int rc = proto_read_miss(&x, cl, pid, pending, t, &stall);
                 if (rc) {
                     st = rc;
                     err[0] = pid;
@@ -1040,7 +1327,7 @@ EXPORT int64_t repro_replay(
             const int64_t *pa = cargs[pid];
             int64_t ip = ipos[pid];
             int64_t iplen = clen[pid];
-            Cache *c = &x.ca[cl];
+            Cache *c = &x.ca[ci];
             int finished = 0;
             for (;;) {
                 if (ip >= iplen) {
@@ -1074,7 +1361,8 @@ EXPORT int64_t repro_replay(
                         tn = t + 1;
                     } else {
                         int64_t stall;
-                        int rc = read_miss(&x, cl, pid, arg, t, &stall);
+                        int rc = proto_read_miss(&x, cl, pid, arg, t,
+                                                 &stall);
                         if (rc) {
                             st = rc;
                             err[0] = pid;
@@ -1093,30 +1381,16 @@ EXPORT int64_t repro_replay(
                     if (found) {
                         if (x.touch) lru_touch(c, slot);
                         if (c->state[slot] != 2) {
-                            /* upgrade: invalidate the other sharers */
-                            ct[4]++;
-                            int64_t ds = 0, dm = 0;
-                            map_get(&x.dir, arg, &ds, &dm);
-                            uint64_t others =
-                                (uint64_t)dm & ~(1ULL << cl);
-                            if (others) {
-                                int rc = invalidate(&x, others, arg);
-                                if (rc) {
-                                    st = rc;
-                                    goto done;
-                                }
-                                x.inv_sent += popcount64(others);
-                            }
-                            if (map_put_ordered(&x.dir, dir_log(&x), arg, 2,
-                                                (int64_t)(1ULL << cl))) {
-                                st = ST_NOMEM;
+                            int rc = proto_upgrade(&x, cl, pid, arg);
+                            if (rc) {
+                                st = rc;
                                 goto done;
                             }
                             c->state[slot] = 2;
                         }
                         tn = t + 1;
                     } else {
-                        int rc = write_miss(&x, cl, pid, arg, t);
+                        int rc = proto_write_miss(&x, cl, pid, arg, t);
                         if (rc) {
                             st = rc;
                             err[0] = pid;
@@ -1241,6 +1515,7 @@ EXPORT int64_t repro_replay(
         }
         pid = sched_pop(&sq, &t, &hz);
         cl = (int)(pid / csize);
+        ci = per_proc ? pid : cl;
         ct = x.ctr + (size_t)cl * NCTR;
         pending = retry[pid];
     }
@@ -1371,7 +1646,7 @@ EXPORT int64_t repro_replay(
 done:
     free(blob.v);
     if (x.ca) {
-        for (int64_t i = 0; i < ncl; i++) {
+        for (int64_t i = 0; i < ncache; i++) {
             Cache *c = &x.ca[i];
             map_free(&c->slot_of);
             free(c->state);
@@ -1385,11 +1660,11 @@ done:
         free(x.ca);
     }
     if (x.hist) {
-        for (int64_t i = 0; i < ncl; i++) map_free(&x.hist[i]);
+        for (int64_t i = 0; i < ncache; i++) map_free(&x.hist[i]);
         free(x.hist);
     }
     if (x.hist_log) {
-        for (int64_t i = 0; i < ncl; i++) free(x.hist_log[i].v);
+        for (int64_t i = 0; i < ncache; i++) free(x.hist_log[i].v);
         free(x.hist_log);
     }
     free(x.ctr);

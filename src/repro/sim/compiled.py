@@ -215,7 +215,7 @@ class CompiledProgram:
 
     __slots__ = ("ops", "args", "task_ops", "task_args", "n_processors",
                  "line_size", "source_ops", "fused_work", "mapped", "_mm",
-                 "_runtime", "_tasks")
+                 "_runtime", "_tasks", "_native")
 
     def __init__(self, ops: list, args: list, line_size: int,
                  source_ops: int, fused_work: bool, *,
@@ -246,6 +246,9 @@ class CompiledProgram:
         self._mm = mapping
         self._runtime = None
         self._tasks = None
+        #: the native driver's ctypes pointer arrays over the columns,
+        #: built on the first native replay (repro.native.driver)
+        self._native = None
 
     def runtime_columns(self):
         """Indexable ``(ops, args)`` views for the per-point replay loop.

@@ -8,6 +8,8 @@ invalidation traffic), or a lock-protected critical section (locks are
 always released by the acquirer, in order).
 """
 
+import random
+
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
@@ -86,3 +88,38 @@ def factory_of(phases, table):
 def machine(n, cluster, cache_kb):
     return MachineConfig(n_processors=n, cluster_size=cluster,
                          cache_kb_per_processor=cache_kb)
+
+
+def seeded_programs(seed, count, n=8):
+    """``count`` far-WORK programs for ``n`` processors, fixed by ``seed``.
+
+    The shapes :func:`programs` draws from ``FAR_ATOM`` -- phases of
+    work/read/write atoms and critical sections, WORK either 0..2 cycles
+    or on both sides of the native scheduler's time ring -- but from a
+    seeded ``random.Random``, so a digest over them names one fixed set
+    of programs on every run.
+    """
+    rng = random.Random(seed)
+    far = [2 ** k + d for k in range(10, 21) for d in (-1, 0, 1)]
+    far += [10 ** 6, 10 ** 9]
+
+    def basic():
+        kind = rng.choice(("work", "read", "write"))
+        if kind != "work":
+            return kind, rng.randint(0, 1023)
+        near = rng.random() < 0.5
+        return kind, rng.randint(0, 2) if near else rng.choice(far)
+
+    def atom():
+        if rng.random() < 0.25:
+            return ("cs", rng.randint(0, 2),
+                    [basic() for _ in range(rng.randint(0, 4))])
+        return basic()
+
+    out = []
+    for _ in range(count):
+        phases = rng.randint(1, 3)
+        table = [[[atom() for _ in range(rng.randint(0, 10))]
+                  for _ in range(phases)] for _ in range(n)]
+        out.append((n, phases, table))
+    return out

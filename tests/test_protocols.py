@@ -20,13 +20,14 @@ Three layers of coverage for the pluggable-protocol refactor:
 
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.memory as memory_pkg
-from repro.core.config import PROTOCOLS, MachineConfig
+from repro.core.config import PROTOCOLS, MachineConfig, NetworkConfig
 from repro.core.metrics import MissCause
 from repro.core.resultcache import ResultCache, point_key
 from repro.memory import (CoherentMemorySystem, DLSMemorySystem,
@@ -36,6 +37,7 @@ from repro.memory.allocation import PageAllocator
 from repro.memory.refmodel import RefDLSMemorySystem
 from repro.memory.snoopy import SnoopyClusterMemorySystem
 from repro.sim.compiled import trace_key
+from repro.sim.nativereplay import native_fusible
 
 # ---------------------------------------------------------------- config
 
@@ -200,28 +202,90 @@ def test_dls_invariant_every_resident_line_is_home(seeded=11):
 
 
 class TestNativeGate:
-    def test_try_replay_native_declines_non_directory_protocols(self):
-        from repro.sim.nativereplay import NATIVE_PROTOCOLS, try_replay_native
+    """The C kernel drives a fresh, flat, fully-associative memory system
+    of every protocol, and declines everything else."""
 
-        assert NATIVE_PROTOCOLS == frozenset({"directory"})
-        config = MachineConfig(n_processors=4, protocol="dls")
-        # the protocol gate precedes every other check, so the dummies
-        # must never be touched — a non-None return or an attribute
-        # error would mean the gate moved
-        assert try_replay_native(config, app=None, program=None) is None
-        config = MachineConfig(n_processors=4, protocol="snoopy")
-        assert try_replay_native(config, app=None, program=None) is None
+    CFG = MachineConfig(n_processors=4, cluster_size=2,
+                        cache_kb_per_processor=4.0)
 
-    def test_fused_kernels_decline_non_directory_memory(self):
-        from repro.sim.nativereplay import native_fusible
-
-        cfg = MachineConfig(n_processors=4, cluster_size=2,
-                            cache_kb_per_processor=4.0)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fresh_memory_of_every_protocol_is_fusible(self, protocol):
+        cfg = self.CFG.with_protocol(protocol)
         assert native_fusible(make_memory_system(cfg))
-        assert not native_fusible(make_memory_system(
-            cfg.with_protocol("dls")))
-        assert not native_fusible(make_memory_system(
-            cfg.with_protocol("snoopy")))
+        assert native_fusible(make_memory_system(
+            replace(cfg, cache_kb_per_processor=None)))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_mesh_latency_declines(self, protocol):
+        cfg = self.CFG.with_protocol(protocol).with_network(
+            NetworkConfig(provider="mesh"))
+        assert not native_fusible(make_memory_system(cfg))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_set_associative_caches_decline(self, protocol):
+        cfg = self.CFG.with_protocol(protocol).with_associativity(2)
+        assert not native_fusible(make_memory_system(cfg))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_more_than_64_clusters_decline(self, protocol):
+        cfg = MachineConfig(n_processors=65, cluster_size=1,
+                            cache_kb_per_processor=0.0625,
+                            protocol=protocol)
+        assert not native_fusible(make_memory_system(cfg))
+        assert native_fusible(make_memory_system(
+            replace(cfg, n_processors=64)))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_used_memory_declines(self, protocol, op):
+        memory = make_memory_system(self.CFG.with_protocol(protocol))
+        getattr(memory, op)(1, 7, 0)
+        assert not native_fusible(memory)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_substituted_factory_declines(self, protocol):
+        original = PROTOCOL_REGISTRY[protocol]
+
+        class Instrumented(original):
+            pass
+
+        try:
+            register_protocol(protocol, Instrumented)
+            cfg = self.CFG.with_protocol(protocol)
+            assert not native_fusible(make_memory_system(cfg))
+        finally:
+            register_protocol(protocol, original)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_try_replay_native_serves_every_protocol(self, protocol):
+        import repro.native as native
+        from repro.sim.compiled import compile_program
+        from repro.sim.engine import execute_program
+        from repro.sim.nativereplay import try_replay_native
+        from repro.sim.program import Barrier, Read, Write
+
+        if native.kernel() is None:
+            pytest.skip("native kernel unavailable (no C compiler)")
+
+        def factory(pid):
+            yield Write(64 * pid)
+            yield Barrier(0)
+            yield Read(64 * ((pid + 1) % 4))
+
+        class Owner:
+            def __init__(self, cfg):
+                self.allocator = PageAllocator(
+                    cfg.n_clusters, cfg.page_size, cfg.line_size)
+
+            def ensure_setup(self):
+                pass
+
+        cfg = self.CFG.with_protocol(protocol)
+        program = compile_program(factory, 4, cfg.line_size)
+        got = try_replay_native(cfg, Owner(cfg), program)
+        assert got is not None
+        assert got.to_json() == execute_program(
+            cfg, make_memory_system(cfg), program, compiled=True).to_json()
 
 
 # ----------------------------------------------------- cache-key guards
